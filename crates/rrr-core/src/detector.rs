@@ -12,7 +12,9 @@ use rrr_anomaly::{BitmapDetector, ModifiedZScore};
 use rrr_geo::Geolocator;
 use rrr_ip2as::{map_traceroute, AliasResolver, IpToAsMap};
 use rrr_obs::{labeled, Counter, Gauge, Histogram, Metrics};
-use rrr_store::{read_snapshot, write_snapshot, Decoder, Encoder, FrameKind, Persist, StoreError};
+use rrr_store::{
+    read_snapshot, write_snapshot, Decoder, Encoder, FrameKind, Persist, Snapshot, StoreError,
+};
 use rrr_topology::Topology;
 use rrr_types::{
     Asn, BgpUpdate, Community, Timestamp, Traceroute, TracerouteId, VpId, Window, WindowConfig,
@@ -612,7 +614,7 @@ impl StalenessDetector {
     /// continues the exact same signal stream as the original, at any
     /// worker-thread count.
     pub fn checkpoint<W: std::io::Write>(&self, w: W) -> Result<(), StoreError> {
-        write_snapshot(w, FrameKind::Full, &self.encode_full_payload()?)
+        write_snapshot(w, FrameKind::Full, &self.encode_full_payload()?).map(drop)
     }
 
     /// Like [`StalenessDetector::checkpoint`], but also establishes this
@@ -636,8 +638,8 @@ impl StalenessDetector {
     /// cumulative dirty set at once.)
     pub fn checkpoint_base<W: std::io::Write>(&mut self, w: W) -> Result<(), StoreError> {
         let payload = self.encode_full_payload()?;
-        write_snapshot(w, FrameKind::Full, &payload)?;
-        self.mark_all_clean(rrr_store::crc32::crc32(&payload));
+        let payload_crc = write_snapshot(w, FrameKind::Full, &payload)?;
+        self.mark_all_clean(payload_crc);
         Ok(())
     }
 
@@ -674,13 +676,42 @@ impl StalenessDetector {
     /// chain surfaces as [`StoreError::DeltaBaseMismatch`]; one applied out
     /// of order as [`StoreError::DeltaChainBroken`].
     pub fn apply_delta<R: std::io::Read>(&mut self, r: R) -> Result<(), StoreError> {
-        let (kind, payload) = read_snapshot(r)?;
-        if kind != FrameKind::Delta {
+        let frame = self.read_chain_frame(r, self.delta_seq + 1)?;
+        self.apply_chain_frame(&frame)
+    }
+
+    /// Reads one delta frame and checks that it is frame `seq` of this
+    /// detector's chain — frame CRC, kind, base CRC, sequence number —
+    /// decoding nothing past that header. `DurableDetector::open` walks a
+    /// whole chain with this and applies only its newest frame.
+    pub(crate) fn read_chain_frame<R: std::io::Read>(
+        &self,
+        r: R,
+        seq: u32,
+    ) -> Result<Snapshot, StoreError> {
+        let frame = read_snapshot(r)?;
+        if frame.kind != FrameKind::Delta {
             return Err(StoreError::DeltaChainBroken {
                 what: "full snapshot where a delta frame was expected",
             });
         }
-        self.apply_delta_payload(&payload)
+        let mut d = Decoder::new(frame.payload());
+        let base = d.u32()?;
+        match self.delta_base {
+            Some(have) if have == base => {}
+            have => {
+                return Err(StoreError::DeltaBaseMismatch {
+                    expected: base,
+                    found: have.unwrap_or(0),
+                })
+            }
+        }
+        if d.u32()? != seq {
+            return Err(StoreError::DeltaChainBroken {
+                what: "delta sequence number does not extend the chain",
+            });
+        }
+        Ok(frame)
     }
 
     fn encode_full_payload(&self) -> Result<Vec<u8>, StoreError> {
@@ -751,24 +782,14 @@ impl StalenessDetector {
         Ok(payload)
     }
 
-    fn apply_delta_payload(&mut self, payload: &[u8]) -> Result<(), StoreError> {
+    /// Decodes and applies the sections of a frame that passed
+    /// [`StalenessDetector::read_chain_frame`], moving the chain position
+    /// to the frame's sequence number.
+    pub(crate) fn apply_chain_frame(&mut self, frame: &Snapshot) -> Result<(), StoreError> {
+        let payload = frame.payload();
         let mut d = Decoder::new(payload);
-        let base = d.u32()?;
-        match self.delta_base {
-            Some(have) if have == base => {}
-            have => {
-                return Err(StoreError::DeltaBaseMismatch {
-                    expected: base,
-                    found: have.unwrap_or(0),
-                })
-            }
-        }
+        d.u32()?; // base CRC: `read_chain_frame` compared it
         let seq = d.u32()?;
-        if seq != self.delta_seq + 1 {
-            return Err(StoreError::DeltaChainBroken {
-                what: "delta sequence number does not extend the chain",
-            });
-        }
         self.bgp.apply_delta(&mut d)?;
         self.corpus.apply_delta(&mut d)?;
         self.trace.apply_delta(&mut d)?;
@@ -817,13 +838,14 @@ impl StalenessDetector {
         alias: AliasResolver,
         cfg: DetectorConfig,
     ) -> Result<Self, StoreError> {
-        let (kind, payload) = read_snapshot(r)?;
-        if kind != FrameKind::Full {
+        let frame = read_snapshot(r)?;
+        if frame.kind != FrameKind::Full {
             return Err(StoreError::DeltaChainBroken {
                 what: "delta frame where a full snapshot was expected",
             });
         }
-        let mut d = Decoder::new(&payload[..]);
+        let payload = frame.payload();
+        let mut d = Decoder::new(payload);
         let stored_fp: Vec<u8> = Persist::load(&mut d)?;
         if stored_fp != cfg_fingerprint(&cfg)? {
             return Err(StoreError::ConfigMismatch { what: "detector configuration" });
@@ -871,7 +893,7 @@ impl StalenessDetector {
         // The restored bytes ARE the state: they are a valid delta base, so
         // deltas cut after restore name this payload and carry only what
         // changes from here on (`Persist` loads default to all-dirty).
-        det.mark_all_clean(rrr_store::crc32::crc32(&payload));
+        det.mark_all_clean(frame.payload_crc);
         Ok(det)
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! The recovery model is *replay* over a snapshot chain: every
 //! [`StalenessDetector::step`] input is appended to the WAL before it is
-//! processed, and a snapshot is cut every
+//! processed (encoded straight from the borrowed slices — nothing is
+//! cloned to be logged), and a snapshot is cut every
 //! [`DurableConfig::checkpoint_every_windows`] closed BGP windows, after
 //! which the WAL restarts empty. Most cuts are *delta frames*
 //! (`delta-NNNNN.rrr`): cumulative diffs against the last full snapshot,
@@ -12,9 +13,10 @@
 //! compacting the chain and deleting its delta files — once the chain
 //! reaches [`DurableConfig::max_deltas`] frames or a delta grows past half
 //! the full snapshot's size. [`DurableDetector::open`] loads the full
-//! snapshot, applies the deltas in sequence order, and re-feeds the logged
-//! steps through the deterministic pipeline, which reproduces the
-//! in-memory state bit for bit — including the signal log, calibration
+//! snapshot, reads and verifies every delta frame in sequence order but
+//! decodes and applies only the newest (each frame carries everything its
+//! predecessors do), and re-feeds the logged steps through the
+//! deterministic pipeline, which reproduces the in-memory state bit for bit — including the signal log, calibration
 //! counters, and the calibrator's RNG stream.
 //!
 //! Crash consistency: snapshot writes go through a temp file + atomic
@@ -73,7 +75,9 @@ fn delta_files(dir: &Path) -> Result<Vec<(u32, PathBuf)>, StoreError> {
 
 /// One raw pipeline step: the inputs [`StalenessDetector::step`] consumed.
 /// Replaying records through a restored detector reproduces the exact
-/// post-step state, so this is all the WAL needs to carry.
+/// post-step state, so this is all the WAL needs to carry. Recovery decodes
+/// this owned form; [`DurableDetector::step`] writes the same bytes from its
+/// borrowed arguments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepRecord {
     pub now: Timestamp,
@@ -81,11 +85,21 @@ pub struct StepRecord {
     pub public: Vec<Traceroute>,
 }
 
+/// The wire form of one step record, from borrowed inputs.
+fn store_step<W: std::io::Write>(
+    e: &mut Encoder<W>,
+    now: Timestamp,
+    bgp_updates: &[BgpUpdate],
+    public: &[Traceroute],
+) -> Result<(), StoreError> {
+    now.store(e)?;
+    e.slice(bgp_updates)?;
+    e.slice(public)
+}
+
 impl Persist for StepRecord {
     fn store<W: std::io::Write>(&self, e: &mut Encoder<W>) -> Result<(), StoreError> {
-        self.now.store(e)?;
-        self.bgp_updates.store(e)?;
-        self.public.store(e)
+        store_step(e, self.now, &self.bgp_updates, &self.public)
     }
     fn load<R: std::io::Read>(d: &mut Decoder<R>) -> Result<Self, StoreError> {
         Ok(StepRecord {
@@ -104,8 +118,9 @@ pub struct DurableConfig {
     /// in the WAL, so a smaller value trades churn for faster recovery.
     pub checkpoint_every_windows: u64,
     /// Compact the delta chain into a fresh full snapshot once it holds
-    /// this many delta frames. Recovery applies every frame in the chain,
-    /// so a longer chain trades cut cost for reopen cost.
+    /// this many delta frames. Recovery reads and verifies every frame in
+    /// the chain (and applies the newest, which grows with the churn since
+    /// the base), so a longer chain trades cut cost for reopen cost.
     pub max_deltas: u32,
     /// Compact early when `delta_bytes * compact_size_ratio` exceeds the
     /// full snapshot's size — at that point a delta no longer pays for
@@ -124,7 +139,7 @@ impl Default for DurableConfig {
 /// Metric handles for one durable directory (all no-ops by default; see
 /// DESIGN.md §13). Counters cover the WAL (step records appended), the
 /// snapshot chain (full/delta cuts, bytes, durations, compactions), and
-/// recovery (records replayed, deltas applied); gauges track the live WAL
+/// recovery (records replayed, delta frames restored); gauges track the live WAL
 /// length and total bytes on disk.
 #[derive(Default)]
 struct DurableObs {
@@ -184,6 +199,8 @@ pub struct DurableDetector {
     full_bytes: u64,
     /// Step records in the current WAL (past the chain tag).
     wal_records: u64,
+    /// The step record being appended; kept so a step costs no allocation.
+    record: Vec<u8>,
     /// Recovery work done by `open`, credited to the restore counters when
     /// metrics are installed (instrumentation arrives after `open` returns).
     restore_replayed: u64,
@@ -210,6 +227,7 @@ impl DurableDetector {
             wal,
             full_bytes: 0,
             wal_records: 0,
+            record: Vec::new(),
             restore_replayed: 0,
             restore_deltas: 0,
             obs: DurableObs::default(),
@@ -218,9 +236,9 @@ impl DurableDetector {
         Ok(durable)
     }
 
-    /// Reopens a durable directory: loads the full snapshot, applies the
-    /// delta chain in sequence order, replays the WAL through the restored
-    /// detector, and resumes logging. The rebuilt detector state is
+    /// Reopens a durable directory: loads the full snapshot, verifies the
+    /// delta chain frame by frame and applies its newest frame, replays the
+    /// WAL through the restored detector, and resumes logging. The rebuilt detector state is
     /// identical to the one that wrote the files.
     ///
     /// Stale leftovers from a crash mid-compaction — delta frames cut
@@ -243,21 +261,32 @@ impl DurableDetector {
             StalenessDetector::restore(BufReader::new(file), topo, map, geo, alias, det_cfg)?;
         let full_bytes = std::fs::metadata(dir.join(CHECKPOINT_FILE))?.len();
 
-        // Apply the delta chain. A base mismatch on a frame can only mean
-        // the frame predates the current full snapshot (a crash hit the
-        // window between the compacting rename and the delta cleanup):
-        // frame payloads are CRC-protected, so rot reports as CrcMismatch
-        // before the base is ever compared. Drop the stale tail.
-        let mut restore_deltas = 0u64;
+        // Verify every frame of the delta chain in sequence order, apply
+        // the newest: deltas are cumulative since the base, so the last
+        // frame carries everything its predecessors do. A base mismatch on
+        // a frame can only mean the frame predates the current full snapshot
+        // (a crash hit the window between the compacting rename and the
+        // delta cleanup): frame payloads are CRC-protected, so rot reports
+        // as CrcMismatch before the base is ever compared. Drop the stale
+        // frame.
+        let mut chain_len = 0u32;
+        let mut newest = None;
         for (_, path) in delta_files(&dir)? {
-            match det.apply_delta(BufReader::new(File::open(&path)?)) {
-                Ok(()) => restore_deltas += 1,
+            match det.read_chain_frame(BufReader::new(File::open(&path)?), chain_len + 1) {
+                Ok(frame) => {
+                    chain_len += 1;
+                    newest = Some(frame);
+                }
                 Err(StoreError::DeltaBaseMismatch { .. }) => {
                     std::fs::remove_file(&path)?;
                 }
                 Err(e) => return Err(e),
             }
         }
+        if let Some(frame) = newest {
+            det.apply_chain_frame(&frame)?;
+        }
+        let restore_deltas = u64::from(chain_len);
 
         // Replay logged steps; a torn tail (crash mid-append) ends replay
         // cleanly, matching a crash before that step was processed. A
@@ -302,6 +331,7 @@ impl DurableDetector {
             wal,
             full_bytes,
             wal_records: if tagged { restore_replayed } else { 0 },
+            record: Vec::new(),
             restore_replayed,
             restore_deltas,
             obs: DurableObs::default(),
@@ -355,8 +385,9 @@ impl DurableDetector {
         bgp_updates: &[BgpUpdate],
         public: &[Traceroute],
     ) -> Result<Vec<StalenessSignal>, StoreError> {
-        let rec = StepRecord { now, bgp_updates: bgp_updates.to_vec(), public: public.to_vec() };
-        self.wal.append(&rrr_store::to_payload(&rec)?)?;
+        self.record.clear();
+        store_step(&mut Encoder::new(&mut self.record), now, bgp_updates, public)?;
+        self.wal.append(&self.record)?;
         self.wal_records += 1;
         self.obs.step_records.inc();
         self.obs.wal_len.set(self.wal_records as i64);
@@ -460,5 +491,49 @@ impl DurableDetector {
     /// The durable directory path.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rrr_types::{AsPath, BgpElem, Community, Hop, Ipv4, ProbeId, TracerouteId, VpId};
+
+    #[test]
+    fn borrowed_step_encoding_is_the_step_record_encoding() {
+        let prefix = "10.2.0.0/16".parse().expect("prefix");
+        let updates = [
+            BgpUpdate {
+                time: Timestamp(10),
+                vp: VpId(3),
+                prefix,
+                elem: BgpElem::Announce {
+                    path: AsPath::from_asns([90, 101, 102]),
+                    communities: vec![Community::new(101, 50_001), Community::new(101, 7)],
+                },
+            },
+            BgpUpdate { time: Timestamp(11), vp: VpId(0), prefix, elem: BgpElem::Withdraw },
+        ];
+        let public = [Traceroute {
+            id: TracerouteId(7),
+            probe: ProbeId(1),
+            src: Ipv4::new(10, 0, 0, 201),
+            dst: Ipv4::new(10, 2, 0, 8),
+            time: Timestamp(30),
+            hops: vec![Hop::responsive(Ipv4::new(10, 0, 0, 2)), Hop::star()],
+            reached: false,
+        }];
+        for (updates, public) in [(&updates[..], &public[..]), (&[][..], &[][..])] {
+            let mut borrowed = Vec::new();
+            store_step(&mut Encoder::new(&mut borrowed), Timestamp(60), updates, public)
+                .expect("encode borrowed");
+            let owned = StepRecord {
+                now: Timestamp(60),
+                bgp_updates: updates.to_vec(),
+                public: public.to_vec(),
+            };
+            assert_eq!(borrowed, rrr_store::to_payload(&owned).expect("encode owned"));
+            assert_eq!(rrr_store::from_payload::<StepRecord>(&borrowed).expect("decode"), owned);
+        }
     }
 }

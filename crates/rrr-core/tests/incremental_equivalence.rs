@@ -20,6 +20,13 @@
 //!    [`DurableDetector`] killed at any point of a schedule that cuts a
 //!    full snapshot, two deltas, and a compaction reopens to the exact
 //!    state of an uninterrupted durable twin.
+//!
+//! 4. **Reopen verifies every frame and applies the newest.** For a chain
+//!    of 1…8 deltas, [`DurableDetector::open`] (which decodes only the
+//!    newest frame) and the frame-by-frame reference (`restore` plus every
+//!    `apply_delta`) reach the same checkpoint bytes and cut the same next
+//!    delta; a rotten or missing *intermediate* frame is still a typed
+//!    error, and a stale-base frame is still deleted.
 
 use rrr_core::detector::{DetectorConfig, StalenessDetector};
 use rrr_core::persist::{DurableConfig, DurableDetector};
@@ -201,6 +208,20 @@ fn signal_repr(s: &StalenessSignal) -> String {
     )
 }
 
+/// The step inputs of round `r`: updates in time order, public traceroutes.
+fn round_inputs(round: &Round, r: u64) -> (Vec<BgpUpdate>, Vec<Traceroute>) {
+    let mut updates: Vec<BgpUpdate> =
+        round.updates.iter().enumerate().map(|(n, s)| update(*s, r, n as u64)).collect();
+    updates.sort_by_key(|u| u.time);
+    let public = round
+        .traces
+        .iter()
+        .enumerate()
+        .map(|(n, &(off, dst, dev))| public_trace(r * 100 + n as u64, r, off, dst, dev))
+        .collect();
+    (updates, public)
+}
+
 /// Steps `det` over `rounds` from absolute round `base`, planning and
 /// applying refreshes on the fixed cadence; returns the plans chosen.
 fn drive(det: &mut StalenessDetector, rounds: &[Round], base: usize) -> Vec<Vec<TracerouteId>> {
@@ -208,15 +229,7 @@ fn drive(det: &mut StalenessDetector, rounds: &[Round], base: usize) -> Vec<Vec<
     for (k, round) in rounds.iter().enumerate() {
         let abs = base + k;
         let r = abs as u64;
-        let mut updates: Vec<BgpUpdate> =
-            round.updates.iter().enumerate().map(|(n, s)| update(*s, r, n as u64)).collect();
-        updates.sort_by_key(|u| u.time);
-        let public: Vec<Traceroute> = round
-            .traces
-            .iter()
-            .enumerate()
-            .map(|(n, &(off, dst, dev))| public_trace(r * 100 + n as u64, r, off, dst, dev))
-            .collect();
+        let (updates, public) = round_inputs(round, r);
         let _ = det.step(Timestamp((r + 1) * ROUND), &updates, &public);
 
         if (abs + 1).is_multiple_of(PLAN_EVERY) {
@@ -518,4 +531,167 @@ fn durable_delta_chain_survives_crash_at_every_point() {
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&twin_dir);
     }
+}
+
+/// Rounds whose churn moves between destinations, so successive deltas
+/// dirty different groups, RIB keys and corpus entries — a later frame is
+/// a superset of an earlier one only because deltas are cumulative.
+fn wandering_rounds(n: u64) -> Vec<Round> {
+    (0..n)
+        .map(|r| Round {
+            updates: (0..NUM_VPS)
+                .map(|vp| Spec {
+                    round_off: vp as u64 * 17,
+                    vp,
+                    dst: (r % NUM_DSTS as u64) as u32,
+                    action: [2, 3, 0, 1][(r as usize + vp as usize) % 4],
+                    comm_variant: (r % 3) as u8,
+                })
+                .collect(),
+            traces: vec![(40, (r % NUM_DSTS as u64) as u32, r % 2 == 1)],
+        })
+        .collect()
+}
+
+/// A durable directory holding a full snapshot and `k` delta frames (one
+/// cut per window, size-based compaction off), dropped without a final cut.
+fn durable_dir_with_chain(tag: &str, rounds: &[Round], k: usize) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("rrr-reopen-{tag}-{}-{k}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = DurableConfig { checkpoint_every_windows: 1, max_deltas: 8, compact_size_ratio: 0 };
+    let mut durable = DurableDetector::create(build(1, true), &dir, cfg).expect("create durable");
+    for (r, round) in rounds[..k].iter().enumerate() {
+        let (updates, public) = round_inputs(round, r as u64);
+        durable.step(Timestamp((r as u64 + 1) * ROUND), &updates, &public).expect("durable step");
+    }
+    assert!(dir.join(format!("delta-{k:05}.rrr")).exists(), "chain of {k} deltas on disk");
+    assert!(!dir.join(format!("delta-{:05}.rrr", k + 1)).exists());
+    dir
+}
+
+/// Reopens `dir` with a policy that cuts nothing on its own.
+fn reopen(dir: &std::path::Path) -> Result<DurableDetector, StoreError> {
+    let (topo, map, geo, alias) = env();
+    let cfg = DurableConfig { checkpoint_every_windows: u64::MAX, ..DurableConfig::default() };
+    DurableDetector::open(dir, topo, map, geo, alias, config(1, true), cfg)
+}
+
+/// The reference load: the full snapshot, then delta frames `1..=k` applied
+/// one by one through the public strict-sequence `apply_delta`.
+fn load_frame_by_frame(dir: &std::path::Path, k: usize) -> StalenessDetector {
+    let (topo, map, geo, alias) = env();
+    let full = std::fs::read(dir.join("checkpoint.rrr")).expect("full snapshot");
+    let mut det = StalenessDetector::restore(&full[..], topo, map, geo, alias, config(1, true))
+        .expect("restore full base");
+    for seq in 1..=k {
+        let frame = std::fs::read(dir.join(format!("delta-{seq:05}.rrr"))).expect("delta frame");
+        det.apply_delta(&frame[..]).expect("apply delta frame");
+    }
+    det
+}
+
+#[test]
+fn reopen_applies_newest_delta_and_matches_frame_by_frame() {
+    let rounds = wandering_rounds(9);
+    let mut frames_differ = false;
+    for k in 1..=8usize {
+        let dir = durable_dir_with_chain("eq", &rounds, k);
+        let mut reference = load_frame_by_frame(&dir, k);
+        let mut reopened = reopen(&dir).expect("reopen");
+        assert_eq!(
+            plain_bytes(&reference),
+            plain_bytes(reopened.detector()),
+            "newest-only reopen diverged from frame-by-frame at k={k}"
+        );
+        assert_eq!(reopened.detector().delta_chain(), reference.delta_chain());
+        if k > 1 {
+            let first = std::fs::read(dir.join("delta-00001.rrr")).expect("delta 1");
+            let last = std::fs::read(dir.join(format!("delta-{k:05}.rrr"))).expect("delta k");
+            frames_differ |= first.len() != last.len();
+        }
+
+        // Both are live chain members: one more round, then the next delta
+        // cut from each is the same frame.
+        let (updates, public) = round_inputs(&rounds[k], k as u64);
+        let now = Timestamp((k as u64 + 1) * ROUND);
+        let _ = reference.step(now, &updates, &public);
+        reopened.step(now, &updates, &public).expect("durable step");
+        let mut next_ref = Vec::new();
+        let mut next_reopened = Vec::new();
+        reference.checkpoint_delta(&mut next_ref).expect("next delta, reference");
+        reopened.detector_mut().checkpoint_delta(&mut next_reopened).expect("next delta, reopened");
+        assert_eq!(next_ref, next_reopened, "next delta diverged at k={k}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(frames_differ, "workload should grow the delta from frame to frame");
+}
+
+#[test]
+fn reopen_still_checks_every_frame_of_the_chain() {
+    let rounds = wandering_rounds(6);
+    let expect_state = |dir: &std::path::Path, k: usize, what: &str| {
+        let reopened = reopen(dir).unwrap_or_else(|e| panic!("{what}: reopen failed: {e}"));
+        assert_eq!(
+            plain_bytes(&load_frame_by_frame(dir, k)),
+            plain_bytes(reopened.detector()),
+            "{what}"
+        );
+    };
+
+    // Bit rot in an intermediate frame, whose sections are never decoded.
+    let dir = durable_dir_with_chain("rot", &rounds, 4);
+    let path = dir.join("delta-00002.rrr");
+    let mut bytes = std::fs::read(&path).expect("delta 2");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&path, &bytes).expect("rewrite delta 2");
+    match reopen(&dir).map(|_| ()) {
+        Err(StoreError::CrcMismatch { .. }) => {}
+        other => panic!("expected CrcMismatch for a rotten intermediate frame, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A missing intermediate frame.
+    let dir = durable_dir_with_chain("gap", &rounds, 4);
+    std::fs::remove_file(dir.join("delta-00002.rrr")).expect("remove delta 2");
+    match reopen(&dir).map(|_| ()) {
+        Err(StoreError::DeltaChainBroken { .. }) => {}
+        other => {
+            panic!("expected DeltaChainBroken for a missing intermediate frame, got {other:?}")
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A full snapshot sitting where an intermediate frame should.
+    let dir = durable_dir_with_chain("kind", &rounds, 4);
+    std::fs::copy(dir.join("checkpoint.rrr"), dir.join("delta-00003.rrr")).expect("overwrite");
+    match reopen(&dir).map(|_| ()) {
+        Err(StoreError::DeltaChainBroken { .. }) => {}
+        other => panic!("expected DeltaChainBroken for a full frame in the chain, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A newest frame cut against another full snapshot (what a crash
+    // between a compacting rename and the delta cleanup leaves): deleted,
+    // and the newest frame of the real chain is the one applied.
+    let dir = durable_dir_with_chain("stale", &rounds, 4);
+    let mut other_base = build(1, true);
+    let _ = drive(&mut other_base, &rounds[..1], 0);
+    let foreign = std::env::temp_dir().join(format!("rrr-reopen-foreign-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&foreign);
+    let cfg = DurableConfig { checkpoint_every_windows: 1, max_deltas: 8, compact_size_ratio: 0 };
+    let mut durable = DurableDetector::create(other_base, &foreign, cfg).expect("create foreign");
+    let (updates, public) = round_inputs(&rounds[1], 1);
+    durable.step(Timestamp(2 * ROUND), &updates, &public).expect("foreign step");
+    drop(durable);
+    assert_ne!(
+        std::fs::read(dir.join("checkpoint.rrr")).expect("full snapshot"),
+        std::fs::read(foreign.join("checkpoint.rrr")).expect("foreign full snapshot"),
+    );
+    std::fs::copy(foreign.join("delta-00001.rrr"), dir.join("delta-00005.rrr")).expect("plant");
+    expect_state(&dir, 4, "stale newest frame must be skipped, frame 4 applied");
+    assert!(!dir.join("delta-00005.rrr").exists(), "stale frame should have been deleted");
+    assert!(dir.join("delta-00004.rrr").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&foreign);
 }

@@ -8,8 +8,12 @@
 //! stall ingestion.
 //!
 //! A malformed line produces an `{"error": ...}` line and the connection
-//! stays open; EOF from the client closes it. [`TcpServer::shutdown`]
-//! stops accepting, wakes the handlers, and joins every thread.
+//! stays open; EOF from the client closes it. A reply is one `write_all`
+//! of body plus newline on a `TCP_NODELAY` socket: split in two on a Nagle
+//! socket, the newline would wait for the client's delayed ACK (~40 ms a
+//! round trip for a client that sends one request at a time).
+//! [`TcpServer::shutdown`] stops accepting, wakes the handlers, and joins
+//! every thread.
 
 use crate::snapshot::ServeHandle;
 use crate::wire::{decode_request, encode_error, encode_response};
@@ -103,6 +107,7 @@ fn serve_conn(socket: TcpStream, handle: ServeHandle, stop: Arc<AtomicBool>) {
     // Read with a timeout so the handler notices `stop` even while a
     // client holds the connection open silently.
     let _ = socket.set_read_timeout(Some(POLL));
+    let _ = socket.set_nodelay(true);
     let mut writer = match socket.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -110,22 +115,24 @@ fn serve_conn(socket: TcpStream, handle: ServeHandle, stop: Arc<AtomicBool>) {
     let mut reader = BufReader::new(socket);
     let mut line = String::new();
     while !stop.load(Ordering::Acquire) {
-        line.clear();
         match reader.read_line(&mut line) {
             Ok(0) => return, // client closed
             Ok(_) => {
-                if line.trim().is_empty() {
-                    continue;
+                let request = line.trim();
+                if !request.is_empty() {
+                    let mut out = match decode_request(request) {
+                        Ok(q) => encode_response(&handle.query(&q)),
+                        Err(e) => encode_error(&e),
+                    };
+                    out.push('\n');
+                    if writer.write_all(out.as_bytes()).is_err() {
+                        return;
+                    }
                 }
-                let out = match decode_request(line.trim()) {
-                    Ok(q) => encode_response(&handle.query(&q)),
-                    Err(e) => encode_error(&e),
-                };
-                if writer.write_all(out.as_bytes()).and_then(|()| writer.write_all(b"\n")).is_err()
-                {
-                    return;
-                }
+                line.clear();
             }
+            // A timeout in the middle of a line keeps what `read_line` has
+            // appended so far; the next call continues the same request.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
             Err(_) => return,
         }
@@ -178,5 +185,69 @@ mod tests {
         server.shutdown(); // idempotent
         let report = daemon.join().expect("drained");
         assert_eq!(report.rounds, 0);
+    }
+
+    /// An idle daemon over a tiny-world detector, and a server on it.
+    fn idle_server() -> (Daemon, TcpServer) {
+        let topo =
+            std::sync::Arc::new(rrr_topology::generate(&rrr_topology::TopologyConfig::small(3)));
+        let alias = rrr_ip2as::AliasResolver::from_topology(&topo, 1.0, 0);
+        let det = DetectorBuilder::new().seed(7).build(
+            topo,
+            rrr_ip2as::IpToAsMap::new(),
+            rrr_geo::Geolocator::new(rrr_geo::GeoDb::default(), vec![]),
+            alias,
+            vec![],
+        );
+        let daemon = Daemon::spawn(
+            Engine::Plain(det),
+            vec![Box::new(ScriptedFeed::default())],
+            DaemonConfig::default(),
+        );
+        let server = TcpServer::bind("127.0.0.1:0", daemon.handle()).expect("bind");
+        (daemon, server)
+    }
+
+    #[test]
+    fn sequential_round_trips_do_not_wait_for_delayed_acks() {
+        let (daemon, mut server) = idle_server();
+        let mut client = TcpStream::connect(server.addr()).expect("connect");
+        let mut replies = BufReader::new(client.try_clone().expect("clone"));
+        let started = std::time::Instant::now();
+        let mut reply = String::new();
+        for _ in 0..50 {
+            client.write_all(b"{\"query\":\"corpus_summary\"}\n").expect("send");
+            reply.clear();
+            replies.read_line(&mut reply).expect("read");
+            assert!(reply.contains("corpus_summary") && reply.ends_with('\n'), "{reply}");
+        }
+        // A reply split across two segments costs a delayed ACK (~40 ms)
+        // per round trip: 2 s and more for these fifty.
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "50 sequential round trips took {took:?}");
+        server.shutdown();
+        daemon.join().expect("drained");
+    }
+
+    #[test]
+    fn request_split_across_a_read_timeout_is_answered_whole() {
+        let (daemon, mut server) = idle_server();
+        let mut client = TcpStream::connect(server.addr()).expect("connect");
+        client.set_nodelay(true).expect("nodelay");
+        let mut replies = BufReader::new(client.try_clone().expect("clone"));
+        client.write_all(b"{\"query\":\"corp").expect("send first half");
+        // Three read timeouts of the handler pass with half a line buffered.
+        std::thread::sleep(3 * POLL);
+        client.write_all(b"us_summary\"}\n").expect("send second half");
+        let mut reply = String::new();
+        replies.read_line(&mut reply).expect("read");
+        assert!(reply.contains("corpus_summary") && !reply.contains("\"error\""), "{reply}");
+        // And the connection keeps serving.
+        client.write_all(b"{\"query\":\"monitor_stats\"}\n").expect("send");
+        reply.clear();
+        replies.read_line(&mut reply).expect("read");
+        assert!(reply.contains("monitor_stats"), "{reply}");
+        server.shutdown();
+        daemon.join().expect("drained");
     }
 }

@@ -53,40 +53,67 @@ impl FrameKind {
     }
 }
 
+/// Payload bytes checksummed per step. A frame needs two checksums over
+/// (almost) the same bytes — the frame CRC and the CRC of the payload
+/// alone, by which a delta chain names its base — and taking both a chunk
+/// at a time means the second pass reads from cache, not from memory.
+const CRC_CHUNK: usize = 64 * 1024;
+
+/// A verified snapshot frame.
+#[derive(Debug)]
+pub struct Snapshot {
+    pub kind: FrameKind,
+    /// CRC-32 of [`Snapshot::payload`], taken while the frame was verified.
+    pub payload_crc: u32,
+    /// Kind byte, then the payload, as they sit in the frame.
+    frame: Vec<u8>,
+}
+
+impl Snapshot {
+    /// The payload handed to [`write_snapshot`].
+    pub fn payload(&self) -> &[u8] {
+        &self.frame[1..]
+    }
+}
+
 /// Writes one framed checkpoint: header, payload, trailing CRC.
 ///
 /// The payload must be fully materialized first because the frame carries
 /// its length up front (a deliberate choice: restore can reject truncated
 /// files before decoding a single payload byte).
 pub fn write_checkpoint<W: Write>(w: W, payload: &[u8]) -> Result<(), StoreError> {
-    write_frame(w, &[], payload)
+    write_frame(w, &[], payload).map(drop)
 }
 
-/// Writes one framed snapshot, prefixing the payload with its kind tag.
+/// Writes one framed snapshot, prefixing the payload with its kind tag,
+/// and returns the CRC-32 of `payload` (without the tag).
 ///
 /// The frame layout is exactly [`write_checkpoint`]'s; the kind byte lives
 /// inside the payload so the CRC covers it. [`read_snapshot`] strips it
 /// back off.
-pub fn write_snapshot<W: Write>(w: W, kind: FrameKind, payload: &[u8]) -> Result<(), StoreError> {
+pub fn write_snapshot<W: Write>(w: W, kind: FrameKind, payload: &[u8]) -> Result<u32, StoreError> {
     write_frame(w, &[kind.tag()], payload)
 }
 
-fn write_frame<W: Write>(mut w: W, head: &[u8], payload: &[u8]) -> Result<(), StoreError> {
-    let mut crc = Crc32::new();
-    let mut put = |w: &mut W, bytes: &[u8]| -> Result<(), StoreError> {
-        w.write_all(bytes)?;
-        crc.update(bytes);
-        Ok(())
-    };
-    put(&mut w, &MAGIC)?;
-    put(&mut w, &FORMAT_VERSION.to_le_bytes())?;
-    put(&mut w, &((head.len() + payload.len()) as u64).to_le_bytes())?;
-    put(&mut w, head)?;
-    put(&mut w, payload)?;
-    let crc = crc.finish();
-    w.write_all(&crc.to_le_bytes())?;
+fn write_frame<W: Write>(mut w: W, head: &[u8], payload: &[u8]) -> Result<u32, StoreError> {
+    let mut header = [0u8; 18];
+    header[..8].copy_from_slice(&MAGIC);
+    header[8..10].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header[10..].copy_from_slice(&((head.len() + payload.len()) as u64).to_le_bytes());
+    let mut frame_crc = Crc32::new();
+    frame_crc.update(&header);
+    frame_crc.update(head);
+    w.write_all(&header)?;
+    w.write_all(head)?;
+    let mut payload_crc = Crc32::new();
+    for chunk in payload.chunks(CRC_CHUNK) {
+        frame_crc.update(chunk);
+        payload_crc.update(chunk);
+        w.write_all(chunk)?;
+    }
+    w.write_all(&frame_crc.finish().to_le_bytes())?;
     w.flush()?;
-    Ok(())
+    Ok(payload_crc.finish())
 }
 
 /// Reads and verifies one framed checkpoint, returning the raw payload.
@@ -95,70 +122,76 @@ fn write_frame<W: Write>(mut w: W, head: &[u8], payload: &[u8]) -> Result<(), St
 /// corrupted file reports [`StoreError::CrcMismatch`] rather than a
 /// misleading version error, and an intact future-version file reports
 /// [`StoreError::UnsupportedVersion`].
-pub fn read_checkpoint<R: Read>(mut r: R) -> Result<Vec<u8>, StoreError> {
-    let mut crc = Crc32::new();
+pub fn read_checkpoint<R: Read>(r: R) -> Result<Vec<u8>, StoreError> {
+    read_frame(r, 0).map(|(payload, _)| payload)
+}
+
+/// Reads and verifies one frame; returns its payload and the CRC-32 of the
+/// payload past its first `head_len` bytes.
+fn read_frame<R: Read>(mut r: R, head_len: usize) -> Result<(Vec<u8>, u32), StoreError> {
+    let mut frame_crc = Crc32::new();
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
-    crc.update(&magic);
+    frame_crc.update(&magic);
     if magic != MAGIC {
         return Err(StoreError::BadMagic(magic));
     }
 
-    let mut ver = [0u8; 2];
-    r.read_exact(&mut ver)?;
-    crc.update(&ver);
-    let version = u16::from_le_bytes(ver);
-
-    let mut len = [0u8; 8];
-    r.read_exact(&mut len)?;
-    crc.update(&len);
-    let len = u64::from_le_bytes(len);
+    let mut rest = [0u8; 10];
+    r.read_exact(&mut rest)?;
+    frame_crc.update(&rest);
+    let version = u16::from_le_bytes([rest[0], rest[1]]);
+    let len = u64::from_le_bytes(rest[2..].try_into().expect("8 bytes"));
     let len = usize::try_from(len)
         .map_err(|_| StoreError::Corrupt { offset: 10, what: "payload length exceeds usize" })?;
 
-    // Stream the payload in chunks: a corrupt length fails on short read
-    // instead of a huge up-front allocation.
+    // Straight into the payload buffer, which grows with the bytes that
+    // are really there: a corrupt length fails on the short read instead
+    // of a huge up-front allocation.
     let mut payload = Vec::with_capacity(len.min(1 << 20));
-    let mut remaining = len;
-    let mut chunk = [0u8; 8192];
-    while remaining > 0 {
-        let take = remaining.min(chunk.len());
-        r.read_exact(&mut chunk[..take])?;
-        crc.update(&chunk[..take]);
-        payload.extend_from_slice(&chunk[..take]);
-        remaining -= take;
+    r.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() != len {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
+    let (head, body) = payload.split_at(head_len.min(len));
+    frame_crc.update(head);
+    let mut body_crc = Crc32::new();
+    for chunk in body.chunks(CRC_CHUNK) {
+        frame_crc.update(chunk);
+        body_crc.update(chunk);
     }
 
     let mut stored = [0u8; 4];
     r.read_exact(&mut stored)?;
     let stored = u32::from_le_bytes(stored);
-    let computed = crc.finish();
+    let computed = frame_crc.finish();
     if stored != computed {
         return Err(StoreError::CrcMismatch { stored, computed });
     }
     if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion { found: version, supported: FORMAT_VERSION });
     }
-    Ok(payload)
+    Ok((payload, body_crc.finish()))
 }
 
-/// Reads and verifies one framed snapshot, returning its kind and payload.
+/// Reads and verifies one framed snapshot.
 ///
 /// Counterpart of [`write_snapshot`]: the leading kind byte is validated
-/// and stripped. A frame too short to carry one (or with an unknown kind
-/// tag) is reported as [`StoreError::Corrupt`].
-pub fn read_snapshot<R: Read>(r: R) -> Result<(FrameKind, Vec<u8>), StoreError> {
-    let mut payload = read_checkpoint(r)?;
-    if payload.is_empty() {
-        return Err(StoreError::Corrupt { offset: 0, what: "snapshot frame has no kind byte" });
-    }
-    let kind = match payload[0] {
-        0 => FrameKind::Full,
-        1 => FrameKind::Delta,
-        _ => return Err(StoreError::Corrupt { offset: 0, what: "unknown snapshot kind tag" }),
+/// and kept out of [`Snapshot::payload`]. A frame too short to carry one
+/// (or with an unknown kind tag) is reported as [`StoreError::Corrupt`].
+pub fn read_snapshot<R: Read>(r: R) -> Result<Snapshot, StoreError> {
+    let (frame, payload_crc) = read_frame(r, 1)?;
+    let kind = match frame.first() {
+        None => {
+            return Err(StoreError::Corrupt { offset: 0, what: "snapshot frame has no kind byte" })
+        }
+        Some(0) => FrameKind::Full,
+        Some(1) => FrameKind::Delta,
+        Some(_) => {
+            return Err(StoreError::Corrupt { offset: 0, what: "unknown snapshot kind tag" })
+        }
     };
-    payload.remove(0);
-    Ok((kind, payload))
+    Ok(Snapshot { kind, payload_crc, frame })
 }
 
 #[cfg(test)]
@@ -238,10 +271,13 @@ mod tests {
     fn snapshot_kinds_roundtrip() {
         for kind in [FrameKind::Full, FrameKind::Delta] {
             let mut buf = Vec::new();
-            write_snapshot(&mut buf, kind, b"snapshot payload").expect("write");
-            let (got, payload) = read_snapshot(&buf[..]).expect("read");
-            assert_eq!(got, kind);
-            assert_eq!(payload, b"snapshot payload");
+            let written_crc = write_snapshot(&mut buf, kind, b"snapshot payload").expect("write");
+            let snap = read_snapshot(&buf[..]).expect("read");
+            assert_eq!(snap.kind, kind);
+            assert_eq!(snap.payload(), b"snapshot payload");
+            // Both directions hand back the CRC of the payload alone.
+            assert_eq!(snap.payload_crc, crate::crc32::crc32(b"snapshot payload"));
+            assert_eq!(written_crc, snap.payload_crc);
         }
     }
 

@@ -33,8 +33,8 @@ pub mod wal;
 pub mod wire;
 
 pub use checkpoint::{
-    read_checkpoint, read_snapshot, write_checkpoint, write_snapshot, FrameKind, FORMAT_VERSION,
-    MAGIC,
+    read_checkpoint, read_snapshot, write_checkpoint, write_snapshot, FrameKind, Snapshot,
+    FORMAT_VERSION, MAGIC,
 };
 pub use error::StoreError;
 pub use wal::{LogSource, WalObs, WalReader, WalWriter};

@@ -1,7 +1,9 @@
 //! Append-only write-ahead log.
 //!
 //! Record framing: `[len u32][crc u32][payload len bytes]`, where the CRC
-//! covers only the payload. Appends are flushed per record, so after a
+//! covers only the payload and is taken once, over the finished record
+//! (the [`crate::wire::Encoder`] that laid the payload out keeps no
+//! checksum of its own). Appends are flushed per record, so after a
 //! crash the log contains a prefix of whole records plus at most one torn
 //! record at the tail.
 //!

@@ -18,7 +18,6 @@
 //! modules (Rust privacy is module-scoped); this module only covers what is
 //! publicly constructible.
 
-use crate::crc32::Crc32;
 use crate::error::StoreError;
 use rrr_types::{
     AnchorId, Arena, ArenaId, AsPath, Asn, BgpElem, BgpUpdate, CityId, CollectorId, Community,
@@ -35,22 +34,20 @@ use std::sync::Arc;
 /// arrive — but a corrupt 2⁶³ length cannot OOM the process.
 const PREALLOC_CAP: usize = 4096;
 
-/// Byte sink with a running CRC-32 over everything written.
+/// Byte sink for [`Persist::store`]. Integrity is the frame's business
+/// ([`crate::checkpoint`], [`crate::wal`] checksum the finished bytes once);
+/// the encoder only lays fields out.
 pub struct Encoder<W: Write> {
     w: W,
-    crc: Crc32,
-    written: u64,
 }
 
 impl<W: Write> Encoder<W> {
     pub fn new(w: W) -> Self {
-        Encoder { w, crc: Crc32::new(), written: 0 }
+        Encoder { w }
     }
 
     pub fn bytes(&mut self, b: &[u8]) -> Result<(), StoreError> {
         self.w.write_all(b)?;
-        self.crc.update(b);
-        self.written += b.len() as u64;
         Ok(())
     }
 
@@ -70,27 +67,26 @@ impl<W: Write> Encoder<W> {
         self.u64(v as u64)
     }
 
-    /// CRC-32 of everything written so far.
-    pub fn crc(&self) -> u32 {
-        self.crc.finish()
-    }
-
-    /// Total bytes written so far.
-    pub fn written(&self) -> u64 {
-        self.written
+    /// A borrowed sequence, wire-identical to a `Vec<T>` of the same items:
+    /// `u64` length prefix, then each item in order.
+    pub fn slice<T: Persist>(&mut self, items: &[T]) -> Result<(), StoreError> {
+        self.len(items.len())?;
+        for item in items {
+            item.store(self)?;
+        }
+        Ok(())
     }
 }
 
-/// Byte source tracking offset (for error reporting) and a running CRC.
+/// Byte source tracking its offset (for error reporting).
 pub struct Decoder<R: Read> {
     r: R,
-    crc: Crc32,
     offset: usize,
 }
 
 impl<R: Read> Decoder<R> {
     pub fn new(r: R) -> Self {
-        Decoder { r, crc: Crc32::new(), offset: 0 }
+        Decoder { r, offset: 0 }
     }
 
     /// A [`StoreError::Corrupt`] at the current offset.
@@ -100,7 +96,6 @@ impl<R: Read> Decoder<R> {
 
     pub fn bytes(&mut self, buf: &mut [u8]) -> Result<(), StoreError> {
         self.r.read_exact(buf)?;
-        self.crc.update(buf);
         self.offset += buf.len();
         Ok(())
     }
@@ -133,11 +128,6 @@ impl<R: Read> Decoder<R> {
     /// Bytes consumed so far.
     pub fn offset(&self) -> usize {
         self.offset
-    }
-
-    /// CRC-32 of everything read so far.
-    pub fn crc(&self) -> u32 {
-        self.crc.finish()
     }
 }
 
@@ -251,11 +241,7 @@ impl<T: Persist> Persist for Option<T> {
 
 impl<T: Persist> Persist for Vec<T> {
     fn store<W: Write>(&self, e: &mut Encoder<W>) -> Result<(), StoreError> {
-        e.len(self.len())?;
-        for item in self {
-            item.store(e)?;
-        }
-        Ok(())
+        e.slice(self)
     }
     fn load<R: Read>(d: &mut Decoder<R>) -> Result<Self, StoreError> {
         let n = d.read_len()?;
@@ -423,11 +409,7 @@ impl<T: Persist> Persist for Arc<T> {
 impl<T: Persist> Persist for Arc<[T]> {
     // Byte-identical to `Vec<T>`: length prefix followed by items.
     fn store<W: Write>(&self, e: &mut Encoder<W>) -> Result<(), StoreError> {
-        e.len(self.len())?;
-        for item in self.iter() {
-            item.store(e)?;
-        }
-        Ok(())
+        e.slice(self)
     }
     fn load<R: Read>(d: &mut Decoder<R>) -> Result<Self, StoreError> {
         Ok(Vec::<T>::load(d)?.into())
