@@ -6,6 +6,7 @@
 use rrr_anomaly::{choose_window_duration, MonitoredSeries, OutlierDetector, SeriesVerdict};
 use rrr_store::{Decoder, Encoder, Persist, StoreError};
 use rrr_types::{Duration, Timestamp, Window, WindowConfig};
+use std::collections::BTreeSet;
 
 /// How many buffered observations trigger a window-duration decision.
 const DECIDE_AFTER_OBS: usize = 48;
@@ -57,6 +58,11 @@ pub struct AdaptiveSeries {
     /// by [`AdaptiveSeries::take_changed`] for exact delta dirty-tracking.
     /// Not serialized — a restored series starts clean.
     changed: bool,
+    /// Transient: buffer length at the last window-duration decision that
+    /// found none. The same buffer decides the same way, so until it grows
+    /// only the give-up deadline can make another flush worth its while.
+    /// Not serialized — a restored series simply tries once more.
+    undecided_at: usize,
 }
 
 impl Default for AdaptiveSeries {
@@ -103,6 +109,7 @@ impl Persist for AdaptiveSeries {
             last_normal_ratio: Persist::load(d)?,
             normal_count: Persist::load(d)?,
             changed: false,
+            undecided_at: 0,
         })
     }
 }
@@ -126,6 +133,7 @@ impl AdaptiveSeries {
             last_normal_ratio: None,
             normal_count: 0,
             changed: false,
+            undecided_at: 0,
         }
     }
 
@@ -145,6 +153,24 @@ impl AdaptiveSeries {
     /// so dirty tracking uses [`AdaptiveSeries::take_changed`] instead.
     pub fn pending(&self) -> bool {
         !self.buffer.is_empty() || self.cur.is_some()
+    }
+
+    /// Where a [`FlushSchedule`] files this series: the precondition of a
+    /// [`AdaptiveSeries::flush_until`] that does something, split into the
+    /// part that holds whatever the time and the part that waits for one.
+    fn filing(&self) -> Filing {
+        let undecided = !self.gave_up && self.cfg.is_none();
+        Filing {
+            ready: if self.gave_up {
+                !self.buffer.is_empty()
+            } else if undecided {
+                self.buffer.len() >= DECIDE_AFTER_OBS && self.buffer.len() > self.undecided_at
+            } else {
+                self.pending()
+            },
+            give_up_clock: self.first_obs.filter(|_| undecided),
+            changed: self.changed,
+        }
     }
 
     /// Returns whether persisted state mutated since the last call, and
@@ -208,6 +234,7 @@ impl AdaptiveSeries {
                         self.changed = true;
                     }
                     None => {
+                        self.undecided_at = self.buffer.len();
                         if span_elapsed >= GIVE_UP_AFTER {
                             self.gave_up = true;
                             self.buffer.clear();
@@ -299,6 +326,105 @@ impl AdaptiveSeries {
             SeriesVerdict::NotReady => self.last_normal_ratio = Some(ratio),
             SeriesVerdict::Missing => {}
         }
+    }
+}
+
+/// What a [`FlushSchedule`] knows about one series.
+#[derive(Debug, Default, PartialEq)]
+struct Filing {
+    /// A flush at any time may do something: a gave-up series with
+    /// leftovers to drop, a windowed series with data or an open window, an
+    /// undecided series with enough observations to try for a window and
+    /// more of them than at its last try. Over-approximates: the flush may
+    /// still find nothing to do.
+    ready: bool,
+    /// First observation of a series still waiting for a window duration:
+    /// [`GIVE_UP_AFTER`] past it a flush decides or gives up whatever the
+    /// buffer holds.
+    give_up_clock: Option<Timestamp>,
+    /// The change flag is up.
+    changed: bool,
+}
+
+/// Which series of one monitor family a flush has to visit — the ones
+/// [`AdaptiveSeries::flush_until`] can do something for — so a flush costs
+/// the series that are due, not the family. Series are named by their index
+/// in the family. Every change to a series goes through
+/// [`FlushSchedule::update`], which re-files it.
+///
+/// Transient and derived: never stored, [`FlushSchedule::rebuild`] recovers
+/// it from the series after a load. The sets only have to be supersets of
+/// what is due, since flushing a series that is not is a no-op.
+#[derive(Debug, Default)]
+pub(crate) struct FlushSchedule {
+    /// Series filed as ready.
+    ready: BTreeSet<usize>,
+    /// Series with a give-up clock running, oldest first.
+    undecided: BTreeSet<(Timestamp, usize)>,
+    /// Series whose change flag went up since [`FlushSchedule::take_changed`].
+    changed: Vec<usize>,
+}
+
+impl FlushSchedule {
+    /// The schedule of a family in the state `series` yields.
+    pub(crate) fn rebuild<'a>(series: impl Iterator<Item = &'a AdaptiveSeries>) -> Self {
+        let mut sched = FlushSchedule::default();
+        for (i, s) in series.enumerate() {
+            sched.refile(i, Filing::default(), s.filing());
+        }
+        sched
+    }
+
+    /// Runs `f` (a push or a flush) on series `i` and re-files it.
+    pub(crate) fn update<R>(
+        &mut self,
+        i: usize,
+        s: &mut AdaptiveSeries,
+        f: impl FnOnce(&mut AdaptiveSeries) -> R,
+    ) -> R {
+        let was = s.filing();
+        let r = f(s);
+        self.refile(i, was, s.filing());
+        r
+    }
+
+    fn refile(&mut self, i: usize, was: Filing, now: Filing) {
+        if now.ready && !was.ready {
+            self.ready.insert(i);
+        } else if was.ready && !now.ready {
+            self.ready.remove(&i);
+        }
+        if now.give_up_clock != was.give_up_clock {
+            if let Some(t) = was.give_up_clock {
+                self.undecided.remove(&(t, i));
+            }
+            if let Some(t) = now.give_up_clock {
+                self.undecided.insert((t, i));
+            }
+        }
+        if now.changed && !was.changed {
+            self.changed.push(i);
+        }
+    }
+
+    /// The series to flush at `now`, ascending.
+    pub(crate) fn due(&self, now: Timestamp) -> Vec<usize> {
+        let mut due: Vec<usize> = self
+            .undecided
+            .iter()
+            .take_while(|(first, _)| now - *first >= GIVE_UP_AFTER)
+            .map(|&(_, i)| i)
+            .collect();
+        due.extend(&self.ready);
+        due.sort_unstable();
+        due.dedup();
+        due
+    }
+
+    /// The series that may hold an untaken change flag; the list restarts
+    /// empty.
+    pub(crate) fn take_changed(&mut self) -> std::vec::Drain<'_, usize> {
+        self.changed.drain(..)
     }
 }
 

@@ -10,7 +10,7 @@ use crate::signal::{SignalKey, SignalScope, StalenessSignal, Technique};
 use crate::trace_monitors::TraceMonitors;
 use rrr_anomaly::{BitmapDetector, ModifiedZScore};
 use rrr_geo::Geolocator;
-use rrr_ip2as::{map_traceroute, AliasResolver, IpToAsMap};
+use rrr_ip2as::{find_borders_in, hop_origins, map_traceroute, AliasResolver, IpToAsMap};
 use rrr_obs::{labeled, Counter, Gauge, Histogram, Metrics};
 use rrr_store::{
     read_snapshot, write_snapshot, Decoder, Encoder, FrameKind, Persist, Snapshot, StoreError,
@@ -40,9 +40,11 @@ pub struct DetectorConfig {
     /// Ablation: absorb outliers into series histories instead of removing
     /// them (disables §4.1.2's stationarity preservation).
     pub absorb_outliers: bool,
-    /// Worker threads for the per-window monitor evaluation (BGP window
-    /// close and traceroute-series flush). `0` = one per available core;
-    /// `1` = serial. The signal stream is identical at any setting.
+    /// Worker threads for the BGP side: the per-window monitor evaluation
+    /// (window close) and the sharded `observe_batch`. `0` = one per
+    /// available core; `1` = serial. The traceroute side takes no threads:
+    /// its flush visits only the few series that are due. The signal stream
+    /// is identical at any setting.
     pub threads: usize,
     /// Dirty-set incremental window close: groups whose series are provably
     /// inert under quiet input are parked and caught up lazily, so close
@@ -98,6 +100,9 @@ pub(crate) struct DetectorObs {
     calibration_rolls: Counter,
     plan_refreshes: Counter,
     plan_ns: Histogram,
+    trace_observe_ns: Histogram,
+    trace_flush_ns: Histogram,
+    trace_flush_visited: Counter,
 }
 
 impl DetectorObs {
@@ -118,6 +123,10 @@ impl DetectorObs {
             calibration_rolls: m.counter(&labeled("rrr_detector_calibration_rolls_total", labels)),
             plan_refreshes: m.counter(&labeled("rrr_detector_plan_refresh_total", labels)),
             plan_ns: m.histogram(&labeled("rrr_detector_plan_refresh_ns", labels)),
+            trace_observe_ns: m.histogram(&labeled("rrr_detector_trace_observe_ns", labels)),
+            trace_flush_ns: m.histogram(&labeled("rrr_detector_trace_flush_ns", labels)),
+            trace_flush_visited: m
+                .counter(&labeled("rrr_detector_trace_flush_visited_total", labels)),
         }
     }
 }
@@ -178,8 +187,7 @@ impl StalenessDetector {
         bgp.set_threads(threads);
         bgp.set_incremental(cfg.incremental_close);
         bgp.set_dense_close(cfg.dense_close);
-        let mut trace = TraceMonitors::new_with(cfg.trace_detector, cfg.absorb_outliers);
-        trace.set_threads(threads);
+        let trace = TraceMonitors::new_with(cfg.trace_detector, cfg.absorb_outliers);
         StalenessDetector {
             cal: Calibrator::new(cfg.calibration_l, cfg.seed),
             bgp,
@@ -242,11 +250,11 @@ impl StalenessDetector {
         self.next_bgp_window.index()
     }
 
-    /// Overrides the per-window worker count on both monitor families
-    /// (bench/test toggle). The signal stream is identical at any setting.
+    /// Overrides the worker count of the BGP window close and
+    /// `observe_batch` (bench/test toggle); nothing on the traceroute side
+    /// is threaded. The signal stream is identical at any setting.
     pub fn set_threads(&mut self, threads: usize) {
         self.bgp.set_threads(threads);
-        self.trace.set_threads(threads);
     }
 
     fn enabled(&self, t: Technique) -> bool {
@@ -403,13 +411,30 @@ impl StalenessDetector {
         }
 
         // --- public traceroutes ---
+        // Each is resolved once — origin per hop, borders — and both
+        // monitors read that: the trace monitors through the star-patched
+        // view, the IXP monitor as measured.
+        let trace_on =
+            self.enabled(Technique::TraceSubpath) || self.enabled(Technique::TraceBorder);
+        let ixp_on = self.enabled(Technique::IxpColocation);
+        let public = if trace_on || ixp_on { public } else { &[] };
+        let span = self.obs.trace_observe_ns.span();
         for tr in public {
-            if self.enabled(Technique::TraceSubpath) || self.enabled(Technique::TraceBorder) {
-                self.trace.observe_trace(tr, &self.map, &self.topo, &mut self.geo, &self.alias);
+            let origins = hop_origins(tr, &self.map);
+            let borders = find_borders_in(tr, &origins);
+            if trace_on {
+                self.trace.observe_mapped(
+                    tr,
+                    &origins,
+                    &borders,
+                    &self.map,
+                    &self.topo,
+                    &mut self.geo,
+                    &self.alias,
+                );
             }
-            if self.enabled(Technique::IxpColocation) {
-                let joins = self.ixp.observe_trace(tr, &self.map);
-                for (asn, ixp) in joins {
+            if ixp_on {
+                for (asn, ixp) in self.ixp.observe_borders(&borders) {
                     let w = self.cfg.bgp_window.window_of(tr.time);
                     signals.extend(self.ixp.signals_for_join(
                         asn,
@@ -422,7 +447,11 @@ impl StalenessDetector {
                 }
             }
         }
+        drop(span);
+        let span = self.obs.trace_flush_ns.span();
         let (tsigs, trevokes) = self.trace.flush(now);
+        drop(span);
+        self.obs.trace_flush_visited.add(self.trace.flush_visited() as u64);
         signals.extend(tsigs);
         revokes.extend(trevokes);
 
@@ -853,7 +882,7 @@ impl StalenessDetector {
         let vps = Persist::load(&mut d)?;
         let corpus = Persist::load(&mut d)?;
         let mut bgp: BgpMonitors = Persist::load(&mut d)?;
-        let mut trace: TraceMonitors = Persist::load(&mut d)?;
+        let trace: TraceMonitors = Persist::load(&mut d)?;
         let ixp = Persist::load(&mut d)?;
         let cal = Persist::load(&mut d)?;
         let potential = Persist::load(&mut d)?;
@@ -867,7 +896,6 @@ impl StalenessDetector {
         bgp.set_threads(threads);
         bgp.set_incremental(cfg.incremental_close);
         bgp.set_dense_close(cfg.dense_close);
-        trace.set_threads(threads);
         let mut det = StalenessDetector {
             cfg,
             topo,
@@ -1113,6 +1141,44 @@ mod tests {
         assert!(!d.portion_changed(&sub_key, &starred));
         // A different middle hop → changed.
         assert!(d.portion_changed(&sub_key, &trace(5, 1, &["10.0.0.2", "10.1.0.7", "10.2.0.1"])));
+    }
+
+    #[test]
+    fn trace_spans_and_flush_visits_are_exposed() {
+        let mut d = detector();
+        let metrics = Metrics::enabled();
+        d.set_metrics(&metrics);
+        d.add_corpus(
+            trace(1, 0, &["10.0.0.2", "10.0.0.3", "10.1.0.1", "10.1.0.2", "10.2.0.1"]),
+            None,
+        )
+        .expect("valid");
+        let monitors = d.trace.subpath_count() + d.trace.border_count();
+        assert!(monitors > 0);
+        // Twenty quiet rounds on the monitored segment: the series buffer
+        // towards a window decision, which no flush can make yet.
+        for r in 0..20u64 {
+            let public =
+                [trace(100 + r, r * 900 + 10, &["10.0.0.2", "10.0.0.3", "10.1.0.1", "10.1.0.2"])];
+            d.step(Timestamp((r + 1) * 900), &[], &public);
+        }
+        let snap = metrics.snapshot();
+        for name in ["rrr_detector_trace_observe_ns", "rrr_detector_trace_flush_ns"] {
+            assert_eq!(snap.histogram(name).map(|h| h.count), Some(20), "{name}: one span a step");
+        }
+        assert_eq!(snap.counter("rrr_detector_trace_flush_visited_total"), 0);
+        // Enough to decide on: the flushes from here on visit them.
+        for r in 20..60u64 {
+            let public: Vec<Traceroute> = (0..3)
+                .map(|k| {
+                    let hops = ["10.0.0.2", "10.0.0.3", "10.1.0.1", "10.1.0.2"];
+                    trace(1000 + r * 10 + k, r * 900 + 10 + k, &hops)
+                })
+                .collect();
+            d.step(Timestamp((r + 1) * 900), &[], &public);
+        }
+        let visited = metrics.snapshot().counter("rrr_detector_trace_flush_visited_total");
+        assert!(visited > 0 && visited <= 40 * monitors as u64, "{visited}");
     }
 
     #[test]

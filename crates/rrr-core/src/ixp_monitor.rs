@@ -17,7 +17,7 @@
 
 use crate::corpus::Corpus;
 use crate::signal::{SignalKey, SignalScope, StalenessSignal, Technique};
-use rrr_ip2as::{find_borders, IpToAsMap};
+use rrr_ip2as::{find_borders, Border, IpToAsMap};
 use rrr_store::{Decoder, Encoder, Persist, StoreError};
 use rrr_topology::{Relationship, Topology};
 use rrr_types::{Asn, IxpId, Timestamp, Traceroute, TracerouteId, Window};
@@ -84,8 +84,15 @@ impl IxpMonitor {
 
     /// Observes a public traceroute; returns newly detected members.
     pub fn observe_trace(&mut self, tr: &Traceroute, map: &IpToAsMap) -> Vec<(Asn, IxpId)> {
+        self.observe_borders(&find_borders(tr, map))
+    }
+
+    /// [`IxpMonitor::observe_trace`] given the borders of the traceroute
+    /// *as measured* — never of a star-patched copy: a LAN address the
+    /// patcher filled in was not seen next to anything.
+    pub(crate) fn observe_borders(&mut self, borders: &[Border]) -> Vec<(Asn, IxpId)> {
         let mut new = Vec::new();
-        for b in find_borders(tr, map) {
+        for b in borders {
             let Some(ixp) = b.ixp else { continue };
             let set = self.members.entry(ixp).or_default();
             if set.insert(b.near_as) {

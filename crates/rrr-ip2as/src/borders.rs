@@ -50,6 +50,14 @@ impl rrr_store::Persist for Border {
     }
 }
 
+/// Maps every hop of a traceroute once: `None` for unresponsive and
+/// unmapped hops. The slice indexes like `tr.hops`, so one longest-prefix
+/// lookup per hop serves border inference and every later per-hop question
+/// about the same traceroute.
+pub fn hop_origins(tr: &Traceroute, map: &IpToAsMap) -> Vec<Option<IpOrigin>> {
+    tr.hops.iter().map(|h| h.addr.and_then(|ip| map.lookup(ip))).collect()
+}
+
 /// Finds all border crossings in a traceroute.
 ///
 /// The scan walks responsive hops; an AS transition `A → B` yields a border
@@ -59,48 +67,35 @@ impl rrr_store::Persist for Border {
 /// unresponsive hops inside the transition are skipped, matching the
 /// merge-across-gaps rule used for AS paths.
 pub fn find_borders(tr: &Traceroute, map: &IpToAsMap) -> Vec<Border> {
-    // Collect (hop index, ip, origin) for every mapped responsive hop.
-    let mapped: Vec<(usize, Ipv4, IpOrigin)> = tr
-        .hops
-        .iter()
-        .enumerate()
-        .filter_map(|(i, h)| {
-            let ip = h.addr?;
-            map.lookup(ip).map(|o| (i, ip, o))
-        })
-        .collect();
+    find_borders_in(tr, &hop_origins(tr, map))
+}
 
+/// [`find_borders`] over origins already resolved by [`hop_origins`].
+pub fn find_borders_in(tr: &Traceroute, origins: &[Option<IpOrigin>]) -> Vec<Border> {
     let mut out = Vec::new();
     let mut near: Option<(usize, Ipv4, Asn)> = None;
     let mut pending_ixp: Option<(usize, Ipv4, IxpId)> = None;
 
-    for &(i, ip, origin) in &mapped {
+    for (i, (hop, origin)) in tr.hops.iter().zip(origins).enumerate() {
+        let (Some(ip), Some(origin)) = (hop.addr, *origin) else { continue };
         match origin {
             IpOrigin::As(asn) => {
                 if let Some((ni, nip, nas)) = near {
                     if nas != asn {
                         // Transition: possibly via a recorded IXP hop.
-                        if let Some((xi, xip, ixp)) = pending_ixp {
-                            out.push(Border {
-                                near_ip: nip,
-                                far_ip: xip,
-                                near_as: nas,
-                                far_as: asn,
-                                ixp: Some(ixp),
-                                near_idx: ni,
-                                far_idx: xi,
-                            });
-                        } else {
-                            out.push(Border {
-                                near_ip: nip,
-                                far_ip: ip,
-                                near_as: nas,
-                                far_as: asn,
-                                ixp: None,
-                                near_idx: ni,
-                                far_idx: i,
-                            });
-                        }
+                        let (far_idx, far_ip, ixp) = match pending_ixp {
+                            Some((xi, xip, ixp)) => (xi, xip, Some(ixp)),
+                            None => (i, ip, None),
+                        };
+                        out.push(Border {
+                            near_ip: nip,
+                            far_ip,
+                            near_as: nas,
+                            far_as: asn,
+                            ixp,
+                            near_idx: ni,
+                            far_idx,
+                        });
                     }
                 }
                 near = Some((i, ip, asn));
@@ -208,6 +203,26 @@ mod tests {
         assert_eq!((b[0].near_as, b[0].far_as), (Asn(100), Asn(101)));
         assert_eq!((b[1].near_as, b[1].far_as), (Asn(101), Asn(102)));
         assert_eq!(b[1].ixp, Some(IxpId(3)));
+    }
+
+    #[test]
+    fn origins_index_like_hops_and_carry_the_borders() {
+        let m = test_map();
+        let t =
+            tr(&[Some("10.0.0.2"), None, Some("172.16.0.1"), Some("11.0.0.4"), Some("10.2.0.1")]);
+        let origins = hop_origins(&t, &m);
+        assert_eq!(
+            origins,
+            vec![
+                Some(IpOrigin::As(Asn(100))),
+                None,
+                None,
+                Some(IpOrigin::Ixp(IxpId(3))),
+                Some(IpOrigin::As(Asn(102)))
+            ]
+        );
+        assert_eq!(find_borders_in(&t, &origins), find_borders(&t, &m));
+        assert_eq!(find_borders(&t, &m).len(), 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod traceroute;
 pub mod trie;
 
 pub use alias::{AliasKey, AliasResolver};
-pub use borders::{find_borders, Border};
+pub use borders::{find_borders, find_borders_in, hop_origins, Border};
 pub use mapping::{IpOrigin, IpToAsMap};
 pub use traceroute::{map_traceroute, AsTrace, StarPatcher};
 pub use trie::PrefixTrie;

@@ -122,13 +122,23 @@ impl StarPatcher {
     /// surrounding pair has a unique known middle. Remaining stars stay as
     /// wildcards.
     pub fn patch(&self, tr: &Traceroute) -> Traceroute {
-        let mut out = tr.clone();
-        for i in 1..out.hops.len().saturating_sub(1) {
-            if out.hops[i].is_star() {
-                if let (Some(p), Some(n)) = (out.hops[i - 1].addr, out.hops[i + 1].addr) {
-                    if let Some(mid) = self.unique_middle(p, n) {
-                        out.hops[i].addr = Some(mid);
-                    }
+        self.patch_stars(tr).unwrap_or_else(|| tr.clone())
+    }
+
+    /// [`StarPatcher::patch`] without the copy in the common case: `None`
+    /// when no star has a unique known middle, so the caller keeps using
+    /// `tr` itself. The copy is made at the first hop actually patched and
+    /// later stars read their neighbours from it.
+    pub fn patch_stars(&self, tr: &Traceroute) -> Option<Traceroute> {
+        let mut out: Option<Traceroute> = None;
+        for i in 1..tr.hops.len().saturating_sub(1) {
+            let hops = out.as_ref().map_or(&tr.hops, |o| &o.hops);
+            if !hops[i].is_star() {
+                continue;
+            }
+            if let (Some(p), Some(n)) = (hops[i - 1].addr, hops[i + 1].addr) {
+                if let Some(mid) = self.unique_middle(p, n) {
+                    out.get_or_insert_with(|| tr.clone()).hops[i].addr = Some(mid);
                 }
             }
         }
@@ -224,6 +234,30 @@ mod tests {
         let still = p.patch(&broken);
         assert!(still.hops[1].is_star());
         assert_eq!(p.unique_middle(ip("10.0.0.2"), ip("10.2.0.1")), None);
+    }
+
+    #[test]
+    fn patch_stars_copies_only_when_it_patches() {
+        let mut p = StarPatcher::new();
+        p.learn(&tr(&[Some("10.0.0.2"), Some("10.1.0.1"), Some("10.2.0.1"), Some("10.3.0.1")]));
+        // Nothing to patch: no star, a star with unknown context, a star at
+        // either end, two stars in a row.
+        for hops in [
+            &[Some("10.0.0.2"), Some("10.1.0.1"), Some("10.2.0.1")][..],
+            &[Some("10.0.0.9"), None, Some("10.2.0.1")],
+            &[None, Some("10.1.0.1"), None],
+            &[Some("10.0.0.2"), None, None, Some("10.3.0.1")],
+            &[],
+        ] {
+            assert_eq!(p.patch_stars(&tr(hops)), None, "{hops:?}");
+        }
+        // Two separate stars are both patched in the one copy.
+        let broken = tr(&[Some("10.0.0.2"), None, Some("10.2.0.1"), None, Some("10.2.0.1")]);
+        p.learn(&tr(&[Some("10.2.0.1"), Some("10.3.0.7"), Some("10.2.0.1")]));
+        let fixed = p.patch_stars(&broken).expect("patched");
+        assert_eq!(fixed.hops[1].addr, Some(ip("10.1.0.1")));
+        assert_eq!(fixed.hops[3].addr, Some(ip("10.3.0.7")));
+        assert_eq!(fixed, p.patch(&broken));
     }
 
     #[test]

@@ -12,20 +12,32 @@
 //! of body plus newline on a `TCP_NODELAY` socket: split in two on a Nagle
 //! socket, the newline would wait for the client's delayed ACK (~40 ms a
 //! round trip for a client that sends one request at a time).
+//! A request is at most [`MAX_REQUEST`] bytes: a line that runs past it
+//! gets one `{"error": ...}` line and the connection is closed, so a client
+//! that never sends a newline cannot grow the daemon. The accept loop drops
+//! the handles of handlers that have finished whenever it adds one, so the
+//! list holds the open connections, not every connection ever made.
 //! [`TcpServer::shutdown`] stops accepting, wakes the handlers, and joins
 //! every thread.
 
 use crate::snapshot::ServeHandle;
 use crate::wire::{decode_request, encode_error, encode_response};
 use rrr_types::Error;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const POLL: Duration = Duration::from_millis(10);
+
+/// Longest request line accepted, newline not counted.
+pub const MAX_REQUEST: usize = 64 * 1024;
+
+/// How long the rest of an oversized request is read and dropped before
+/// the connection is closed on it.
+const DRAIN: Duration = Duration::from_secs(1);
 
 /// A running TCP query server.
 pub struct TcpServer {
@@ -61,7 +73,9 @@ impl TcpServer {
                                     .name("rrr-conn".into())
                                     .spawn(move || serve_conn(socket, handle, stop))
                                     .expect("spawn connection thread");
-                                conns.lock().expect("conns lock").push(t);
+                                let mut conns = conns.lock().expect("conns lock");
+                                conns.retain(|t| !t.is_finished());
+                                conns.push(t);
                             }
                             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                                 std::thread::sleep(POLL);
@@ -81,6 +95,13 @@ impl TcpServer {
     /// The bound address (resolves port 0 to the actual port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Connection handlers not yet reaped: the open connections plus
+    /// whatever finished since the last accept.
+    #[cfg(test)]
+    fn handlers(&self) -> usize {
+        self.conns.lock().expect("conns lock").len()
     }
 
     /// Stops accepting, drains every connection handler, and joins all
@@ -115,7 +136,14 @@ fn serve_conn(socket: TcpStream, handle: ServeHandle, stop: Arc<AtomicBool>) {
     let mut reader = BufReader::new(socket);
     let mut line = String::new();
     while !stop.load(Ordering::Acquire) {
-        match reader.read_line(&mut line) {
+        // One byte of room past the cap tells a full-length request (its
+        // newline lands there) from one that runs on.
+        let room = (MAX_REQUEST + 1).saturating_sub(line.len()) as u64;
+        let read = (&mut reader).take(room).read_line(&mut line);
+        if line.len() > MAX_REQUEST && !line.ends_with('\n') {
+            return refuse_oversized(reader, writer, &stop);
+        }
+        match read {
             Ok(0) => return, // client closed
             Ok(_) => {
                 let request = line.trim();
@@ -134,6 +162,29 @@ fn serve_conn(socket: TcpStream, handle: ServeHandle, stop: Arc<AtomicBool>) {
             // A timeout in the middle of a line keeps what `read_line` has
             // appended so far; the next call continues the same request.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
+            Err(_) => return,
+        }
+    }
+}
+
+/// Answers a request that ran past [`MAX_REQUEST`] with one error line and
+/// hangs up. What the client is still sending is read and dropped for up to
+/// [`DRAIN`] first: closing a socket with unread input resets the
+/// connection, and the reset can overtake the error line.
+fn refuse_oversized(mut reader: BufReader<TcpStream>, mut writer: TcpStream, stop: &AtomicBool) {
+    let err = Error::protocol(format!("request longer than {MAX_REQUEST} bytes"));
+    let mut out = encode_error(&err);
+    out.push('\n');
+    if writer.write_all(out.as_bytes()).is_err() || writer.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + DRAIN;
+    let mut sink = [0u8; 8192];
+    while Instant::now() < deadline && !stop.load(Ordering::Acquire) {
+        match reader.read(&mut sink) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(_) => return,
         }
     }
@@ -225,6 +276,59 @@ mod tests {
         // per round trip: 2 s and more for these fifty.
         let took = started.elapsed();
         assert!(took < Duration::from_secs(1), "50 sequential round trips took {took:?}");
+        server.shutdown();
+        daemon.join().expect("drained");
+    }
+
+    #[test]
+    fn oversized_request_is_refused_and_closed_while_others_are_served() {
+        let (daemon, mut server) = idle_server();
+        let mut hog = TcpStream::connect(server.addr()).expect("connect");
+        let mut other = TcpStream::connect(server.addr()).expect("connect");
+        let mut other_replies = BufReader::new(other.try_clone().expect("clone"));
+
+        // A megabyte with no newline in it. The server hangs up partway,
+        // so the write may fail; the reply is what counts.
+        let mut hog_replies = BufReader::new(hog.try_clone().expect("clone"));
+        let sender = std::thread::spawn(move || {
+            let _ = hog.write_all(&vec![b'x'; 1 << 20]);
+            hog
+        });
+        let mut reply = String::new();
+        hog_replies.read_line(&mut reply).expect("read");
+        assert!(reply.contains("\"error\"") && reply.contains("longer than"), "{reply}");
+        reply.clear();
+        assert_eq!(hog_replies.read_line(&mut reply).expect("eof"), 0, "closed after the error");
+        drop(sender.join().expect("sender"));
+
+        // A line of exactly the cap is still a request (here a blank one,
+        // which gets no reply), and the connection goes on being served.
+        let mut full = vec![b' '; MAX_REQUEST];
+        full.push(b'\n');
+        for request in [&full[..], b"{\"query\":\"corpus_summary\"}\n"] {
+            other.write_all(request).expect("send");
+        }
+        reply.clear();
+        other_replies.read_line(&mut reply).expect("read");
+        assert!(reply.contains("corpus_summary") && !reply.contains("\"error\""), "{reply}");
+        server.shutdown();
+        daemon.join().expect("drained");
+    }
+
+    #[test]
+    fn finished_handlers_are_reaped_as_connections_come_and_go() {
+        let (daemon, mut server) = idle_server();
+        for _ in 0..200 {
+            let mut client = TcpStream::connect(server.addr()).expect("connect");
+            client.write_all(b"{\"query\":\"monitor_stats\"}\n").expect("send");
+            let mut reply = String::new();
+            BufReader::new(&client).read_line(&mut reply).expect("read");
+            assert!(reply.contains("monitor_stats"), "{reply}");
+        }
+        // A handler notices its client left within a read timeout or so;
+        // the accept that follows drops its handle.
+        let handlers = server.handlers();
+        assert!(handlers < 20, "{handlers} handles kept after 200 closed connections");
         server.shutdown();
         daemon.join().expect("drained");
     }
