@@ -26,12 +26,9 @@
 //!   (and, for `_close`, its window closed) through an N-partition
 //!   `rrr_core::partition::PartitionedDetector` at N = 1/2/4/8, each
 //!   partition stepping on its own thread; speedups are relative to the
-//!   N = 1 run, and the ≥3× gate at N = 8 only applies on hosts with at
-//!   least 8 threads (smaller hosts *skip* the gate rather than pass a
-//!   vacuous 1.0);
-//! - `partition_checkpoint` — `cut_checkpoints` across an N-partition
-//!   `PartitionedDurable` root, reporting total and per-partition
-//!   bytes-on-disk (`bytes_per_partition` in the JSON);
+//!   N = 1 run. Recorded for comparison only: partitioning is not a
+//!   deployment (see the `rrr_core::partition` module docs), so nothing
+//!   gates on these rows;
 //! - `weather_soak` (opt-in via `--soak`, absent from `EXPECTED_OPS`) —
 //!   streams the full-scale diurnal weather regime ([`rrr_bench::weather`],
 //!   ~100k-AS lazy world) through a fresh detector window by window and
@@ -50,8 +47,8 @@
 use criterion::{BatchSize, Criterion};
 use rrr_bench::pipeline::{synth_bgp_monitors, synth_round, synth_round_sparse};
 use rrr_bench::{World, WorldConfig};
-use rrr_core::partition::{PartitionMap, PartitionedDetector, PartitionedDurable};
-use rrr_core::{DetectorConfig, DurableConfig, Metrics, MetricsSnapshot, Query};
+use rrr_core::partition::{PartitionMap, PartitionedDetector};
+use rrr_core::{DetectorConfig, Metrics, MetricsSnapshot, Query};
 use rrr_serve::{
     replay_reference, split_rounds, Daemon, DaemonConfig, Engine, FeedBatch, FeedSource,
     ScriptedFeed, StalenessQuery,
@@ -79,7 +76,6 @@ const EXPECTED_OPS: &[&str] = &[
     "observe_metrics_overhead",
     "partition_observe",
     "partition_close",
-    "partition_checkpoint",
 ];
 
 struct Row {
@@ -593,29 +589,6 @@ fn measure_partition(c: &mut Criterion, n: usize, close: bool, metrics: &Metrics
     })
 }
 
-/// Times `cut_checkpoints` across an N-partition durable root grown over
-/// a few world rounds and returns (ns, per-partition bytes on disk).
-fn measure_partition_checkpoint(c: &mut Criterion, n: usize) -> (f64, Vec<u64>) {
-    let (mut pd, rounds) = partition_fixture(n);
-    for r in 0..6u64 {
-        let updates = restamped(&rounds, r);
-        let _ = pd.step(Timestamp((r + 1) * 900), &updates, &[]);
-    }
-    let (parts, map) = pd.into_parts();
-    let dir = std::env::temp_dir().join(format!("rrr-bench-part{n}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut durable = PartitionedDurable::create(parts, map, &dir, DurableConfig::default())
-        .expect("create partitioned durable root");
-    let ns = c.measure(|b| {
-        b.iter(|| durable.cut_checkpoints().expect("cut checkpoints across partitions"))
-    });
-    let bytes: Vec<u64> = (0..durable.partitions())
-        .map(|k| durable.bytes_on_disk(k).expect("partition dir is readable"))
-        .collect();
-    let _ = std::fs::remove_dir_all(&dir);
-    (ns, bytes)
-}
-
 /// Opt-in weather-soak row: streams the full-scale diurnal regime through
 /// a fresh detector and returns (ns per window, windows, updates fed,
 /// signals emitted, chains materialized). Exits nonzero if the instrument
@@ -918,8 +891,6 @@ fn main() {
     // parallel. `threads` carries the partition count; speedups are
     // relative to the N = 1 baseline of the same op.
     let partition_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let mut partition_speedup_at_8 = 0.0;
-    let mut part_bytes: Vec<(usize, Vec<u64>)> = Vec::new();
     for &close in &[false, true] {
         let op = if close { "partition_close" } else { "partition_observe" };
         let mut baseline = 0.0;
@@ -938,28 +909,9 @@ fn main() {
                 bytes_on_disk: 0,
                 delta_ratio: 0.0,
             });
-            if close && n == 8 {
-                partition_speedup_at_8 = speedup;
-            }
             eprintln!("{op} N={n} done ({speedup:.2}x vs N=1)");
         }
     }
-    for &n in partition_counts {
-        let (ns, bytes) = measure_partition_checkpoint(&mut c, n);
-        let total: u64 = bytes.iter().sum();
-        eprintln!("partition_checkpoint N={n} done ({total} bytes on disk across {bytes:?})");
-        rows.push(Row {
-            op: "partition_checkpoint",
-            scale: 1,
-            threads: n,
-            ns_per_iter: ns,
-            speedup: 1.0,
-            bytes_on_disk: total,
-            delta_ratio: 0.0,
-        });
-        part_bytes.push((n, bytes));
-    }
-
     // Weather soak, opt-in: the full-scale regime row is minutes of work
     // multiplied across CI shards, so it only runs when asked for — and
     // says so when it doesn't, instead of passing vacuously.
@@ -986,13 +938,6 @@ fn main() {
     let entries: Vec<serde_json::Value> = rows
         .iter()
         .map(|r| {
-            // Per-partition checkpoint sizes ride along on the matching
-            // partition_checkpoint row; empty for every other op.
-            let per_partition: Vec<serde_json::Value> = part_bytes
-                .iter()
-                .find(|(n, _)| r.op == "partition_checkpoint" && *n == r.threads)
-                .map(|(_, v)| v.iter().map(|b| serde_json::json!(b)).collect())
-                .unwrap_or_default();
             serde_json::json!({
                 "op": r.op,
                 "scale": r.scale,
@@ -1001,7 +946,6 @@ fn main() {
                 "ns_per_iter": r.ns_per_iter,
                 "speedup": r.speedup,
                 "bytes_on_disk": r.bytes_on_disk,
-                "bytes_per_partition": per_partition,
                 "queries_per_sec": if r.op == "query_qps" { 1e9 / r.ns_per_iter } else { 0.0 },
                 "query_latency_ns": if r.op == "query_qps" {
                     query_latency.clone()
@@ -1054,26 +998,5 @@ fn main() {
             scales.last().expect("nonempty scales")
         );
         std::process::exit(1);
-    }
-
-    // Partition-scaling gate: 8 partitions must close a window >= 3x
-    // faster than the unpartitioned baseline. Only meaningful where 8
-    // partitions can actually run in parallel — on smaller hosts the gate
-    // is *skipped* (reporting a vacuous ~1.0 pass there would poison the
-    // perf trajectory with numbers the hardware cannot produce).
-    if !quick {
-        if host_threads >= 8 {
-            if partition_speedup_at_8 < 3.0 {
-                eprintln!(
-                    "partition_close at N=8 is only {partition_speedup_at_8:.1}x over N=1 \
-                     (gate: >= 3x on hosts with >= 8 threads)"
-                );
-                std::process::exit(1);
-            }
-        } else {
-            eprintln!(
-                "partition_close N=8 gate skipped: host has {host_threads} threads (needs >= 8)"
-            );
-        }
     }
 }

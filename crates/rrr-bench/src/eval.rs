@@ -157,7 +157,7 @@ impl SignalRecord {
 }
 
 /// Per-technique Table 2 row.
-#[derive(Debug, Clone, Default, serde::Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TechniqueStats {
     pub signals: usize,
     pub true_signals: usize,

@@ -8,17 +8,16 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rrr_topology::{AdjacencyId, AsIdx, Topology};
 use rrr_types::{Community, Duration, IxpId, PeeringPointId, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// A single network event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     pub time: Timestamp,
     pub kind: EventKind,
 }
 
 /// The kinds of changes the simulated network undergoes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// A peering point's session goes down (maintenance, failure).
     PointDown(PeeringPointId),
@@ -62,7 +61,7 @@ impl EventKind {
 }
 
 /// Per-day event rates; each category is sampled independently.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EventConfig {
     pub seed: u64,
     /// Campaign length.

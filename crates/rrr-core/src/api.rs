@@ -1,29 +1,16 @@
-//! The assembled facade: a builder for constructing detectors and the
-//! capability traits that partition the pipeline's surface.
-//!
-//! [`StalenessDetector`] grew over twenty inherent methods; callers that
-//! only feed it (rrr-serve's ingest loop) or only mutate the corpus
-//! (refresh executors) had to see all of them. The surface now splits into
-//! three roles:
-//!
-//! - [`Ingest`] — feed the pipeline: RIB seeding, IXP bootstrap, `step`;
-//! - [`CorpusOps`] — maintain the monitored corpus: add, remove, refresh,
-//!   verify;
-//! - [`crate::query::Query`] — read-only questions, shared with immutable
-//!   [`crate::query::DetectorSnapshot`]s.
-//!
-//! [`DetectorBuilder`] replaces hand-assembled [`DetectorConfig`] structs
-//! for the common paths, and [`DetectorBuilder::build_durable`] lands the
-//! same configuration inside a crash-safe [`DurableDetector`] in one call.
+//! [`DetectorBuilder`]: fluent construction of a detector from behavioral
+//! knobs, in place of hand-assembled [`DetectorConfig`] structs for the
+//! common paths. [`DetectorBuilder::build_durable`] lands the same
+//! configuration inside a crash-safe [`DurableDetector`] in one call.
 
 use crate::detector::{DetectorConfig, StalenessDetector};
 use crate::persist::{DurableConfig, DurableDetector};
-use crate::signal::{StalenessSignal, Technique};
+use crate::signal::Technique;
 use rrr_geo::Geolocator;
 use rrr_ip2as::{AliasResolver, IpToAsMap};
 use rrr_store::StoreError;
 use rrr_topology::Topology;
-use rrr_types::{Asn, BgpUpdate, Timestamp, Traceroute, TracerouteId, VpId, WindowConfig};
+use rrr_types::{VpId, WindowConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -120,94 +107,5 @@ impl DetectorBuilder {
         durable: DurableConfig,
     ) -> Result<DurableDetector, StoreError> {
         DurableDetector::create(self.build(topo, map, geo, alias, vps), dir, durable)
-    }
-}
-
-/// Feeding the pipeline: everything a stream-ingestion loop needs, and
-/// nothing else.
-pub trait Ingest {
-    /// Seeds the BGP RIB mirror from a table dump.
-    fn init_rib(&mut self, rib: &[BgpUpdate]);
-
-    /// Seeds IXP membership from pre-t0 public traceroutes (§4.2.3).
-    fn bootstrap_public(&mut self, traces: &[Traceroute]);
-
-    /// Advances the pipeline to `now` with the updates observed since the
-    /// previous step (both inputs time-sorted); returns emitted signals.
-    fn step(
-        &mut self,
-        now: Timestamp,
-        bgp_updates: &[BgpUpdate],
-        public: &[Traceroute],
-    ) -> Vec<StalenessSignal>;
-}
-
-impl Ingest for StalenessDetector {
-    fn init_rib(&mut self, rib: &[BgpUpdate]) {
-        // Inherent methods shadow trait methods, so these delegate to the
-        // canonical implementations on `StalenessDetector`.
-        StalenessDetector::init_rib(self, rib);
-    }
-
-    fn bootstrap_public(&mut self, traces: &[Traceroute]) {
-        StalenessDetector::bootstrap_public(self, traces);
-    }
-
-    fn step(
-        &mut self,
-        now: Timestamp,
-        bgp_updates: &[BgpUpdate],
-        public: &[Traceroute],
-    ) -> Vec<StalenessSignal> {
-        StalenessDetector::step(self, now, bgp_updates, public)
-    }
-}
-
-/// Maintaining the monitored corpus: insertion, removal, and the refresh
-/// cycle that feeds calibration.
-pub trait CorpusOps {
-    /// Inserts a traceroute into the corpus and registers monitors;
-    /// `None` when the traceroute is disqualified.
-    fn add_corpus(&mut self, tr: Traceroute, src_asn: Option<Asn>) -> Option<TracerouteId>;
-
-    /// Removes a traceroute from the corpus and all monitors.
-    fn remove_corpus(&mut self, id: TracerouteId);
-
-    /// Verifies every potential signal of `old_id` against a fresh
-    /// measurement (feeding calibration); returns whether any monitored
-    /// portion changed.
-    fn verify_signals(&mut self, old_id: TracerouteId, new_tr: &Traceroute) -> bool;
-
-    /// Applies a refresh measurement: verify, then replace the entry.
-    /// Returns the new corpus id and whether any monitored portion had
-    /// changed.
-    fn apply_refresh(
-        &mut self,
-        old_id: TracerouteId,
-        new_tr: Traceroute,
-        src_asn: Option<Asn>,
-    ) -> (Option<TracerouteId>, bool);
-}
-
-impl CorpusOps for StalenessDetector {
-    fn add_corpus(&mut self, tr: Traceroute, src_asn: Option<Asn>) -> Option<TracerouteId> {
-        StalenessDetector::add_corpus(self, tr, src_asn)
-    }
-
-    fn remove_corpus(&mut self, id: TracerouteId) {
-        StalenessDetector::remove_corpus(self, id);
-    }
-
-    fn verify_signals(&mut self, old_id: TracerouteId, new_tr: &Traceroute) -> bool {
-        StalenessDetector::verify_signals(self, old_id, new_tr)
-    }
-
-    fn apply_refresh(
-        &mut self,
-        old_id: TracerouteId,
-        new_tr: Traceroute,
-        src_asn: Option<Asn>,
-    ) -> (Option<TracerouteId>, bool) {
-        StalenessDetector::apply_refresh(self, old_id, new_tr, src_asn)
     }
 }

@@ -163,20 +163,17 @@ struct Group {
 /// at window start plus each update's path, run-length encoded over
 /// interned path ids (`None` = withdrawn/absent). Identical consecutive
 /// announcements — the dominant §4.1.4 duplicate load — collapse into one
-/// run, so window memory stays proportional to path *changes*, and the
-/// window-close scan evaluates each distinct run once.
+/// run, so window memory stays proportional to path *changes*.
 #[derive(Debug, Default, Clone)]
 struct WindowSamples {
     runs: Vec<(Option<PathId>, u32)>,
     /// Number of duplicate announcements.
     duplicates: u32,
     /// Running observe-time aggregate of `runs`: total samples per
-    /// *distinct* path, in first-seen order. The dense close path sums
-    /// §4.1.2 contributions over this vector — one path evaluation per
-    /// distinct path even when runs alternate (A,B,A,B…) — and the sums are
-    /// commutative `u32` additions, so the resulting ratio is bit-identical
-    /// to the per-run rescan. Derived state: rebuilt from `runs` on load,
-    /// never persisted.
+    /// *distinct* path, in first-seen order. Window close sums §4.1.2
+    /// contributions over this vector — one path evaluation per distinct
+    /// path even when runs alternate (A,B,A,B…). Derived state: rebuilt
+    /// from `runs` on load, never persisted.
     counts: Vec<(Option<PathId>, u32)>,
 }
 
@@ -270,10 +267,6 @@ pub struct BgpMonitors {
     /// Runtime switch for the incremental (parked) close path; disabling
     /// it materializes all deferred state and reverts to the full scan.
     park_enabled: bool,
-    /// Runtime switch for the dense close path: evaluate §4.1.2 over the
-    /// observe-time per-path aggregates instead of rescanning each RLE run.
-    /// The rescan stays available as the differential reference.
-    dense_close: bool,
     /// Transient delta-checkpoint tracking: groups whose monitor state
     /// mutated since the last full snapshot base.
     delta_groups: BTreeSet<GroupKey>,
@@ -301,7 +294,6 @@ impl BgpMonitors {
             closes: 0,
             threads: 1,
             park_enabled: true,
-            dense_close: true,
             delta_groups: BTreeSet::new(),
             delta_reg: false,
         }
@@ -313,14 +305,6 @@ impl BgpMonitors {
     /// any thread count.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// Enables or disables the dense close path: §4.1.2 values computed
-    /// from the observe-time per-path aggregates rather than by rescanning
-    /// each run. Both paths sum the same per-path contributions with
-    /// commutative integer additions, so the emitted stream is identical.
-    pub fn set_dense_close(&mut self, enabled: bool) {
-        self.dense_close = enabled;
     }
 
     /// Enables or disables the incremental (parked) close path. Disabling
@@ -755,7 +739,6 @@ impl BgpMonitors {
             samples: &window_samples,
             comm_allowed,
             park: self.park_enabled,
-            dense: self.dense_close,
             close_seq: closes + 1,
         };
 
@@ -1127,8 +1110,6 @@ struct CloseCtx<'a> {
     comm_allowed: &'a (dyn Fn(Community, Prefix) -> bool + Sync),
     /// Whether quiet groups may cache values and park.
     park: bool,
-    /// Whether dirty groups evaluate §4.1.2 over per-path aggregates.
-    dense: bool,
     /// Close counter value this close will commit as.
     close_seq: u64,
 }
@@ -1259,12 +1240,9 @@ fn close_group(
                 for &vp in &m.vps0 {
                     match ctx.samples(vp, dst) {
                         Some(ws) => {
-                            // Dense path: one evaluation per distinct path
-                            // via the observe-time aggregate. Both vectors
-                            // total the same per-path sample counts, and
-                            // the sums commute, so the ratio is identical.
-                            let per_path = if ctx.dense { &ws.counts } else { &ws.runs };
-                            for &(pid, n) in per_path {
+                            // One evaluation per distinct path, via the
+                            // observe-time aggregate.
+                            for &(pid, n) in &ws.counts {
                                 if let Some(pid) = pid {
                                     scan(ctx.path(dst, pid), n);
                                 }
@@ -1603,7 +1581,6 @@ impl Persist for BgpMonitors {
             closes: Persist::load(d)?,
             threads: 1,
             park_enabled: true,
-            dense_close: true,
             delta_groups,
             delta_reg: true,
         };

@@ -17,7 +17,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rrr_store::{Decoder, Encoder, Persist, StoreError};
 use rrr_types::{Community, Prefix, ProbeId, TracerouteId};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -111,7 +110,7 @@ impl SignalStats {
 }
 
 /// The refresh decisions for one generation window.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RefreshPlan {
     /// Traceroutes to re-measure, in priority order, within budget.
     pub refresh: Vec<TracerouteId>,

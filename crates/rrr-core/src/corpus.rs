@@ -3,11 +3,10 @@
 use rrr_ip2as::{find_borders, map_traceroute, Border, IpToAsMap};
 use rrr_store::{Decoder, Encoder, Persist, StoreError};
 use rrr_types::{Asn, Ipv4, Prefix, Timestamp, Traceroute, TracerouteId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// Freshness classification of a corpus traceroute (§6.2's three classes).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Freshness {
     /// No signal fired and every border is monitored by at least one
     /// technique.

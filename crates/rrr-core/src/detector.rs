@@ -52,13 +52,6 @@ pub struct DetectorConfig {
     /// identical at any setting (runtime tuning, not state — excluded from
     /// the checkpoint fingerprint, like `threads`).
     pub incremental_close: bool,
-    /// Dense window close: §4.1.2 evaluation sums the observe-time per-path
-    /// aggregates instead of rescanning each RLE run, so dense closes cost
-    /// one path evaluation per *distinct* path. The rescan path remains as
-    /// the differential reference. The signal stream is identical at any
-    /// setting (runtime tuning, not state — excluded from the checkpoint
-    /// fingerprint, like `threads`).
-    pub dense_close: bool,
 }
 
 impl Default for DetectorConfig {
@@ -73,7 +66,6 @@ impl Default for DetectorConfig {
             absorb_outliers: false,
             threads: 0,
             incremental_close: true,
-            dense_close: true,
         }
     }
 }
@@ -186,7 +178,6 @@ impl StalenessDetector {
         let mut bgp = BgpMonitors::new_with(strip, cfg.bgp_detector, cfg.absorb_outliers);
         bgp.set_threads(threads);
         bgp.set_incremental(cfg.incremental_close);
-        bgp.set_dense_close(cfg.dense_close);
         let trace = TraceMonitors::new_with(cfg.trace_detector, cfg.absorb_outliers);
         StalenessDetector {
             cal: Calibrator::new(cfg.calibration_l, cfg.seed),
@@ -895,7 +886,6 @@ impl StalenessDetector {
         let threads = resolve_threads(&cfg);
         bgp.set_threads(threads);
         bgp.set_incremental(cfg.incremental_close);
-        bgp.set_dense_close(cfg.dense_close);
         let mut det = StalenessDetector {
             cfg,
             topo,

@@ -20,9 +20,10 @@
 //!
 //! [`persist`] adds crash-safe operation on top: versioned full-state
 //! checkpoints plus a write-ahead log of raw step inputs, replayed
-//! deterministically on restart. [`partition`] scales both out: N
-//! cooperating detector instances over contiguous key ranges whose merged
-//! output is bit-identical to a single instance.
+//! deterministically on restart. [`partition`] is the measured in-memory
+//! alternative to the detector's worker threads: N cooperating instances
+//! over contiguous key ranges whose merged output is bit-identical to a
+//! single instance.
 
 pub mod adaptive;
 pub mod api;
@@ -37,13 +38,11 @@ pub mod query;
 pub mod signal;
 pub mod trace_monitors;
 
-pub use api::{CorpusOps, DetectorBuilder, Ingest};
+pub use api::DetectorBuilder;
 pub use calibration::{Calibrator, RefreshPlan, SignalStats};
 pub use corpus::{Corpus, CorpusEntry, Freshness};
 pub use detector::{DetectorConfig, StalenessDetector};
-pub use partition::{
-    canonical_bytes_single, PartitionMap, PartitionedDetector, PartitionedDurable,
-};
+pub use partition::{canonical_bytes_single, PartitionMap, PartitionedDetector};
 pub use persist::{DurableConfig, DurableDetector, StepRecord};
 pub use query::{
     AsSummary, CorpusSummary, DetectorSnapshot, FamilyStats, FreshnessSummary, MonitorStats,

@@ -1,7 +1,28 @@
-//! Partitioned detector deployment: N cooperating [`StalenessDetector`]
-//! instances, each owning a contiguous range of the IPv4 destination-prefix
-//! key space, coordinated so the merged output is **bit-identical** to one
-//! unpartitioned instance consuming the same streams.
+//! Range partitioning of one detector's state: N cooperating
+//! [`StalenessDetector`] instances, each owning a contiguous range of the
+//! IPv4 destination-prefix key space, coordinated so the merged output is
+//! **bit-identical** to one unpartitioned instance consuming the same
+//! streams.
+//!
+//! # What this is, and is not
+//!
+//! An in-memory *alternative* to the detector's own worker threads, kept
+//! as a measured comparison point — not a deployment. The end-to-end
+//! benchmark (`crates/rrr-perf`, README "Findings") steps one item of its
+//! dense BGP input in 1.65–2.02 µs with the shared `threads` worker count
+//! (in-close chunking + sharded `observe_batch`), 2.06–2.36 µs serial and
+//! 2.34–2.84 µs over two partitions; on the mixed traceroute input two
+//! partitions cost 16.4 µs an item against 8.9 µs serial. The loss is
+//! structural: the §4.2 traceroute and IXP monitors are corpus-global, so
+//! every public traceroute and every trace-monitor registration is
+//! broadcast to every partition (N× the data-plane work), and every BGP
+//! update is cloned into its partition's bucket on every step. So nothing
+//! is stacked on this module any more — no per-partition durability, no
+//! merged query snapshot, no `rrr-serve` engine arm. What still pins it:
+//! `rrr-perf`'s `partition.step_ns_per_item.n2` trace row (which keeps the
+//! comparison honest as the code moves) and the bit-identity oracles in
+//! `tests/partition_equivalence.rs`, `tests/metrics_inertness.rs` and the
+//! simulation harness's `PartitionInvariance`.
 //!
 //! # Key routing
 //!
@@ -55,38 +76,22 @@
 //! partition calibrators never draw, so the coordinator stream *is* the
 //! single-instance stream. `Calibrator::swap_rng` lends it to the merged
 //! calibrator for the duration of one plan.
-//!
-//! # Durability
-//!
-//! [`PartitionedDurable`] gives each partition its own
-//! [`DurableDetector`] — a private WAL plus full/delta checkpoint chain
-//! under `part-NNN/` — and persists the routing table
-//! (`partition_map.rrr`, fingerprinted against the detector config) and
-//! the coordinator state (`coordinator.rrr`: planning RNG + merged signal
-//! log). A single crashed partition recovers independently via
-//! [`PartitionedDurable::reopen_partition`] while the coordinator and the
-//! surviving partitions keep their in-memory state.
 
 use crate::calibration::{Calibrator, RefreshPlan};
-use crate::detector::{cfg_fingerprint, DetectorConfig, StalenessDetector};
-use crate::persist::{DurableConfig, DurableDetector};
-use crate::query::DetectorSnapshot;
+use crate::detector::{cfg_fingerprint, StalenessDetector};
 use crate::signal::{SignalKey, StalenessSignal, Technique};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rrr_geo::Geolocator;
-use rrr_ip2as::{AliasResolver, IpToAsMap};
+use rrr_ip2as::IpToAsMap;
 use rrr_obs::{Counter, Histogram, Metrics};
 use rrr_store::{Decoder, Encoder, Persist, StoreError};
-use rrr_topology::Topology;
 use rrr_types::{Asn, BgpUpdate, Ipv4, Prefix, Timestamp, Traceroute, TracerouteId, Window};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Deterministic range-based key→partition routing, shared by ingestion,
-/// serving, and restore. Partition `k` owns addresses in
-/// `[splits[k-1], splits[k])` (with 0 and 2³² as the outer bounds).
+/// Deterministic range-based key→partition routing. Partition `k` owns
+/// addresses in `[splits[k-1], splits[k])` (with 0 and 2³² as the outer
+/// bounds).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionMap {
     /// Interior split points, strictly ascending, all non-zero. `N-1`
@@ -138,11 +143,6 @@ impl PartitionMap {
     pub fn range(&self, k: usize) -> (u32, Option<u32>) {
         let start = if k == 0 { 0 } else { self.splits[k - 1] };
         (start, self.splits.get(k).copied())
-    }
-
-    /// Canonical bytes of the routing table, for persistence stamps.
-    pub fn fingerprint(&self) -> Result<Vec<u8>, StoreError> {
-        rrr_store::to_payload(self)
     }
 }
 
@@ -213,96 +213,6 @@ fn merge_signal_batches(batches: Vec<Vec<StalenessSignal>>) -> Vec<StalenessSign
     }
     crate::signal::canonical_sort(&mut merged);
     merged
-}
-
-/// Clone of partition 0's calibrator with every other partition's tallies
-/// absorbed — the single instance's calibrator, up to the RNG (which the
-/// coordinator supplies).
-fn merged_calibrator(parts: &[&StalenessDetector]) -> Calibrator {
-    let mut cal = parts[0].cal.clone();
-    for p in &parts[1..] {
-        cal.absorb(&p.cal);
-    }
-    cal
-}
-
-/// Merged refresh planning: union the partition-local assertion and
-/// potential maps, resolve probes across partitions, and run the shared
-/// planning body under the merged calibrator with the coordinator's RNG
-/// stream swapped in (and the advanced stream taken back out).
-fn merged_plan(parts: &[&StalenessDetector], plan_rng: &mut StdRng, budget: usize) -> RefreshPlan {
-    let mut cal = merged_calibrator(parts);
-    cal.swap_rng(plan_rng);
-    let mut active = HashMap::new();
-    let mut potential = HashMap::new();
-    for p in parts {
-        for (id, per) in &p.active {
-            active.insert(*id, per.clone());
-        }
-        for (id, keys) in &p.potential {
-            potential.insert(*id, keys.clone());
-        }
-    }
-    let probe_of =
-        |id: TracerouteId| parts.iter().find_map(|p| p.corpus.get(id)).map(|e| e.traceroute.probe);
-    let plan = crate::query::plan_refresh_impl(&active, &potential, &probe_of, &mut cal, budget);
-    cal.swap_rng(plan_rng);
-    plan
-}
-
-/// Inserts a corpus traceroute: full registration in the owner partition,
-/// trace-monitor broadcast everywhere else (same global order as the
-/// owner's, so every partition's monitor state stays identical).
-fn add_corpus_impl(
-    parts: &mut [&mut StalenessDetector],
-    map: &PartitionMap,
-    tr: Traceroute,
-    src_asn: Option<Asn>,
-) -> Option<TracerouteId> {
-    let owner = owner_of_trace(map, parts[0].map(), &tr);
-    let id = parts[owner].add_corpus(tr, src_asn)?;
-    let entry = parts[owner].corpus.get(id).expect("just inserted").clone();
-    for (k, p) in parts.iter_mut().enumerate() {
-        if k != owner {
-            p.register_trace_foreign(&entry);
-        }
-    }
-    Some(id)
-}
-
-/// Removes a corpus traceroute from its owner and drops the broadcast
-/// monitor membership everywhere else.
-fn remove_corpus_impl(parts: &mut [&mut StalenessDetector], id: TracerouteId) {
-    for p in parts.iter_mut() {
-        if p.corpus.get(id).is_some() {
-            p.remove_corpus(id);
-        } else {
-            p.unregister_trace_foreign(id);
-        }
-    }
-}
-
-/// The partitioned `apply_refresh`: verification (and its calibration
-/// records) run in the owner of the old entry; the replacement routes to
-/// wherever the new destination belongs.
-fn apply_refresh_impl(
-    parts: &mut [&mut StalenessDetector],
-    map: &PartitionMap,
-    old_id: TracerouteId,
-    new_tr: Traceroute,
-    src_asn: Option<Asn>,
-) -> (Option<TracerouteId>, bool) {
-    let owner = parts.iter().position(|p| p.corpus.get(old_id).is_some());
-    let any_changed = match owner {
-        Some(k) => {
-            let changed = parts[k].verify_signals(old_id, &new_tr);
-            remove_corpus_impl(parts, old_id);
-            changed
-        }
-        None => false,
-    };
-    let id = add_corpus_impl(parts, map, new_tr, src_asn);
-    (id, any_changed)
 }
 
 /// Asserts a byte-level section is identical in every partition (the
@@ -433,11 +343,11 @@ pub fn canonical_bytes_single(det: &mut StalenessDetector) -> Result<Vec<u8>, St
     canonical_state_bytes(&mut [det], &cal_bytes, &log)
 }
 
-/// Coordinator-level metric handles shared by [`PartitionedDetector`] and
-/// [`PartitionedDurable`] (all no-ops by default). Covers the routing and
-/// merge layer: keyed updates routed per partition, broadcast public
-/// traceroutes, and step/merge timings. Per-partition detector metrics are
-/// installed separately with a `part="k"` label.
+/// Coordinator-level metric handles of a [`PartitionedDetector`] (all
+/// no-ops by default). Covers the routing and merge layer: keyed updates
+/// routed per partition, broadcast public traceroutes, and step/merge
+/// timings. Per-partition detector metrics are installed separately with
+/// a `part="k"` label.
 #[derive(Default)]
 struct PartObs {
     steps: Counter,
@@ -549,14 +459,6 @@ impl PartitionedDetector {
         &self.parts
     }
 
-    /// Dissolves the facade into its partitions and routing map (e.g. to
-    /// wrap each partition in a [`DurableDetector`] via
-    /// [`PartitionedDurable::create`]). The coordinator planning stream
-    /// restarts from the seed, so convert before any `plan_refresh`.
-    pub fn into_parts(self) -> (Vec<StalenessDetector>, PartitionMap) {
-        (self.parts, self.map)
-    }
-
     /// The merged signal log — bit-identical to a single instance's.
     pub fn signal_log(&self) -> &[StalenessSignal] {
         &self.log
@@ -597,14 +499,28 @@ impl PartitionedDetector {
     /// Inserts a traceroute into the owning partition's corpus and
     /// broadcasts its trace monitors to the others.
     pub fn add_corpus(&mut self, tr: Traceroute, src_asn: Option<Asn>) -> Option<TracerouteId> {
-        let mut parts: Vec<&mut StalenessDetector> = self.parts.iter_mut().collect();
-        add_corpus_impl(&mut parts, &self.map, tr, src_asn)
+        let owner = owner_of_trace(&self.map, self.parts[0].map(), &tr);
+        let id = self.parts[owner].add_corpus(tr, src_asn)?;
+        // Same global registration order as the owner's, so every
+        // partition's monitor state stays identical.
+        let entry = self.parts[owner].corpus.get(id).expect("just inserted").clone();
+        for (k, p) in self.parts.iter_mut().enumerate() {
+            if k != owner {
+                p.register_trace_foreign(&entry);
+            }
+        }
+        Some(id)
     }
 
     /// Removes a traceroute from its owner and all broadcast monitors.
     pub fn remove_corpus(&mut self, id: TracerouteId) {
-        let mut parts: Vec<&mut StalenessDetector> = self.parts.iter_mut().collect();
-        remove_corpus_impl(&mut parts, id);
+        for p in &mut self.parts {
+            if p.corpus.get(id).is_some() {
+                p.remove_corpus(id);
+            } else {
+                p.unregister_trace_foreign(id);
+            }
+        }
     }
 
     /// Looks up a corpus entry in whichever partition owns it.
@@ -650,37 +566,63 @@ impl PartitionedDetector {
         merged
     }
 
-    /// Plans refreshes from the cross-partition merged calibration state,
-    /// drawing the coordinator's random stream — the exact plan (and
-    /// stream position) a single instance produces.
-    pub fn plan_refresh(&mut self, budget: usize) -> RefreshPlan {
-        let refs: Vec<&StalenessDetector> = self.parts.iter().collect();
-        merged_plan(&refs, &mut self.plan_rng, budget)
+    /// Clone of partition 0's calibrator with every other partition's
+    /// tallies absorbed — the single instance's calibrator, up to the RNG
+    /// (which the coordinator supplies).
+    fn merged_calibrator(&self) -> Calibrator {
+        let mut cal = self.parts[0].cal.clone();
+        for p in &self.parts[1..] {
+            cal.absorb(&p.cal);
+        }
+        cal
     }
 
-    /// Applies a refresh measurement (verify in the owner, replace
-    /// wherever the new destination routes).
+    /// Plans refreshes from the cross-partition merged calibration state,
+    /// drawing the coordinator's random stream — the exact plan (and
+    /// stream position) a single instance produces: union the
+    /// partition-local assertion and potential maps, resolve probes across
+    /// partitions, and run the shared planning body under the merged
+    /// calibrator with the coordinator's RNG swapped in (and the advanced
+    /// stream taken back out).
+    pub fn plan_refresh(&mut self, budget: usize) -> RefreshPlan {
+        let mut cal = self.merged_calibrator();
+        cal.swap_rng(&mut self.plan_rng);
+        let mut active = HashMap::new();
+        let mut potential = HashMap::new();
+        for p in &self.parts {
+            for (id, per) in &p.active {
+                active.insert(*id, per.clone());
+            }
+            for (id, keys) in &p.potential {
+                potential.insert(*id, keys.clone());
+            }
+        }
+        let probe_of = |id: TracerouteId| self.corpus_get(id).map(|e| e.traceroute.probe);
+        let plan =
+            crate::query::plan_refresh_impl(&active, &potential, &probe_of, &mut cal, budget);
+        cal.swap_rng(&mut self.plan_rng);
+        plan
+    }
+
+    /// Applies a refresh measurement: verification (and its calibration
+    /// records) run in the owner of the old entry; the replacement routes
+    /// to wherever the new destination belongs.
     pub fn apply_refresh(
         &mut self,
         old_id: TracerouteId,
         new_tr: Traceroute,
         src_asn: Option<Asn>,
     ) -> (Option<TracerouteId>, bool) {
-        let mut parts: Vec<&mut StalenessDetector> = self.parts.iter_mut().collect();
-        apply_refresh_impl(&mut parts, &self.map, old_id, new_tr, src_asn)
-    }
-
-    /// An epoch-stamped merged snapshot answering the [`crate::query::Query`]
-    /// trait over the whole corpus — entry, index, and assertion unions,
-    /// broadcast monitor stats from partition 0, and the merged calibrator
-    /// under a *copy* of the coordinator RNG (snapshot plans are repeatable
-    /// and never advance the live stream).
-    pub fn snapshot(&self) -> DetectorSnapshot {
-        let refs: Vec<&StalenessDetector> = self.parts.iter().collect();
-        let mut cal = merged_calibrator(&refs);
-        let mut rng = self.plan_rng.clone();
-        cal.swap_rng(&mut rng);
-        crate::query::merged_snapshot(&refs, cal, self.log.len())
+        let owner = self.parts.iter().position(|p| p.corpus.get(old_id).is_some());
+        let any_changed = match owner {
+            Some(k) => {
+                let changed = self.parts[k].verify_signals(old_id, &new_tr);
+                self.remove_corpus(old_id);
+                changed
+            }
+            None => false,
+        };
+        (self.add_corpus(new_tr, src_asn), any_changed)
     }
 
     /// Per-partition invariants plus the cross-partition ones: exclusive
@@ -712,336 +654,12 @@ impl PartitionedDetector {
     /// to [`canonical_bytes_single`] over an unpartitioned detector that
     /// consumed the same streams.
     pub fn canonical_bytes(&mut self) -> Result<Vec<u8>, StoreError> {
-        let refs: Vec<&StalenessDetector> = self.parts.iter().collect();
-        let mut cal = merged_calibrator(&refs);
+        let mut cal = self.merged_calibrator();
         let mut rng = self.plan_rng.clone();
         cal.swap_rng(&mut rng);
         let cal_bytes = rrr_store::to_payload(&cal)?;
         let log = self.log.clone();
         let mut parts: Vec<&mut StalenessDetector> = self.parts.iter_mut().collect();
-        canonical_state_bytes(&mut parts, &cal_bytes, &log)
-    }
-}
-
-/// File name of the persisted routing table within a partitioned durable
-/// root directory.
-const PARTITION_MAP_FILE: &str = "partition_map.rrr";
-/// File name of the persisted coordinator state (planning RNG + merged
-/// signal log).
-const COORDINATOR_FILE: &str = "coordinator.rrr";
-
-fn part_dir(dir: &Path, k: usize) -> PathBuf {
-    dir.join(format!("part-{k:03}"))
-}
-
-/// A [`PartitionedDetector`] where every partition runs inside its own
-/// [`DurableDetector`] — private WAL and full/delta checkpoint chain under
-/// `part-NNN/` — so one partition can crash and recover by replay while
-/// the rest keep running.
-///
-/// Coordinator state (planning RNG, merged log) persists in
-/// `coordinator.rrr`, written at creation, after every plan, and on
-/// [`PartitionedDurable::cut_checkpoints`]. The routing table persists in
-/// `partition_map.rrr`, stamped with the detector-config fingerprint so a
-/// restore under different semantics fails loudly.
-pub struct PartitionedDurable {
-    parts: Vec<DurableDetector>,
-    map: PartitionMap,
-    plan_rng: StdRng,
-    log: Vec<StalenessSignal>,
-    dir: PathBuf,
-    dur_cfg: DurableConfig,
-    /// Coordinator metric handles plus the registry they came from, kept so
-    /// `reopen_partition` can re-install metrics on the replacement.
-    obs: PartObs,
-    metrics: Metrics,
-}
-
-impl PartitionedDurable {
-    /// Wraps freshly built partitions, cutting each one's initial
-    /// checkpoint under `dir/part-NNN/` and persisting the routing table
-    /// and coordinator state.
-    pub fn create(
-        parts: Vec<StalenessDetector>,
-        map: PartitionMap,
-        dir: impl Into<PathBuf>,
-        dur_cfg: DurableConfig,
-    ) -> Result<Self, StoreError> {
-        assert!(!parts.is_empty(), "at least one partition");
-        assert_eq!(parts.len(), map.len(), "partition count must match the routing map");
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let fp = cfg_fingerprint(&parts[0].cfg)?;
-        let seed = parts[0].cfg.seed;
-        std::fs::write(dir.join(PARTITION_MAP_FILE), rrr_store::to_payload(&(map.clone(), fp))?)?;
-        let mut durable_parts = Vec::with_capacity(parts.len());
-        for (k, det) in parts.into_iter().enumerate() {
-            durable_parts.push(DurableDetector::create(det, part_dir(&dir, k), dur_cfg.clone())?);
-        }
-        let durable = PartitionedDurable {
-            parts: durable_parts,
-            map,
-            plan_rng: StdRng::seed_from_u64(seed),
-            log: Vec::new(),
-            dir,
-            dur_cfg,
-            obs: PartObs::default(),
-            metrics: Metrics::disabled(),
-        };
-        durable.sync_coordinator()?;
-        Ok(durable)
-    }
-
-    /// Reopens a partitioned durable root: loads the routing table
-    /// (checking its config fingerprint), the coordinator state, and every
-    /// partition (each replaying its own delta chain and WAL). The
-    /// environment is input data, supplied per partition by `env`.
-    pub fn open(
-        dir: impl Into<PathBuf>,
-        mut env: impl FnMut(usize) -> (Arc<Topology>, IpToAsMap, Geolocator, AliasResolver),
-        det_cfg: DetectorConfig,
-        dur_cfg: DurableConfig,
-    ) -> Result<Self, StoreError> {
-        let dir = dir.into();
-        let (map, fp): (PartitionMap, Vec<u8>) =
-            rrr_store::from_payload(&std::fs::read(dir.join(PARTITION_MAP_FILE))?)?;
-        if fp != cfg_fingerprint(&det_cfg)? {
-            return Err(StoreError::ConfigMismatch { what: "partition map fingerprint" });
-        }
-        let (rng_state, log): ([u64; 4], Vec<StalenessSignal>) =
-            rrr_store::from_payload(&std::fs::read(dir.join(COORDINATOR_FILE))?)?;
-        let mut parts = Vec::with_capacity(map.len());
-        for k in 0..map.len() {
-            let (topo, ip2as, geo, alias) = env(k);
-            parts.push(DurableDetector::open(
-                part_dir(&dir, k),
-                topo,
-                ip2as,
-                geo,
-                alias,
-                det_cfg.clone(),
-                dur_cfg.clone(),
-            )?);
-        }
-        Ok(PartitionedDurable {
-            parts,
-            map,
-            plan_rng: StdRng::from_state(rng_state),
-            log,
-            dir,
-            dur_cfg,
-            obs: PartObs::default(),
-            metrics: Metrics::disabled(),
-        })
-    }
-
-    /// Installs coordinator metric handles plus per-partition durable and
-    /// detector metrics labeled `part="k"`, all on one shared registry.
-    pub fn set_metrics(&mut self, metrics: &Metrics) {
-        self.metrics = metrics.clone();
-        for (k, p) in self.parts.iter_mut().enumerate() {
-            p.set_metrics_labeled(metrics, &format!("part=\"{k}\""));
-        }
-        self.obs = PartObs::new(metrics, self.map.len());
-    }
-
-    /// Recovers a single crashed partition from its own files — delta
-    /// chain plus WAL replay — while the coordinator and every other
-    /// partition keep their live state. This is the mid-window
-    /// single-partition crash path the partition-invariance oracle
-    /// exercises.
-    pub fn reopen_partition(
-        &mut self,
-        k: usize,
-        topo: Arc<Topology>,
-        ip2as: IpToAsMap,
-        geo: Geolocator,
-        alias: AliasResolver,
-        det_cfg: DetectorConfig,
-    ) -> Result<(), StoreError> {
-        // The WAL flushes per append, so the crashed instance's log is
-        // complete on disk; the replacement replays it and the old handle
-        // (dropped by the assignment) never writes again.
-        self.parts[k] = DurableDetector::open(
-            part_dir(&self.dir, k),
-            topo,
-            ip2as,
-            geo,
-            alias,
-            det_cfg,
-            self.dur_cfg.clone(),
-        )?;
-        if self.metrics.is_enabled() {
-            self.parts[k].set_metrics_labeled(&self.metrics, &format!("part=\"{k}\""));
-        }
-        Ok(())
-    }
-
-    pub fn partition_map(&self) -> &PartitionMap {
-        &self.map
-    }
-
-    pub fn partitions(&self) -> usize {
-        self.parts.len()
-    }
-
-    pub fn detector(&self, k: usize) -> &StalenessDetector {
-        self.parts[k].detector()
-    }
-
-    /// Looks up a corpus entry in whichever partition owns it.
-    pub fn corpus_get(&self, id: TracerouteId) -> Option<&crate::corpus::CorpusEntry> {
-        self.parts.iter().find_map(|p| p.detector().corpus.get(id))
-    }
-
-    /// The partition owning a corpus entry, if any.
-    pub fn owner_of(&self, id: TracerouteId) -> Option<usize> {
-        self.parts.iter().position(|p| p.detector().corpus.get(id).is_some())
-    }
-
-    /// The merged signal log (coordinator state; survives restarts).
-    pub fn signal_log(&self) -> &[StalenessSignal] {
-        &self.log
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// On-disk footprint of one partition's durable directory (checkpoint
-    /// chain + WAL), in bytes.
-    pub fn bytes_on_disk(&self, k: usize) -> Result<u64, StoreError> {
-        let mut total = 0;
-        for entry in std::fs::read_dir(part_dir(&self.dir, k))? {
-            total += entry?.metadata()?.len();
-        }
-        Ok(total)
-    }
-
-    fn dets_mut(&mut self) -> Vec<&mut StalenessDetector> {
-        self.parts.iter_mut().map(|p| p.detector_mut()).collect()
-    }
-
-    /// Persists the coordinator state (planning RNG + merged log).
-    fn sync_coordinator(&self) -> Result<(), StoreError> {
-        let payload = rrr_store::to_payload(&(self.plan_rng.state(), self.log.clone()))?;
-        let tmp = self.dir.join("coordinator.rrr.tmp");
-        std::fs::write(&tmp, payload)?;
-        std::fs::rename(&tmp, self.dir.join(COORDINATOR_FILE))?;
-        Ok(())
-    }
-
-    /// Routes a RIB table dump by prefix. Not WAL-logged (like corpus
-    /// mutations): call before the first step or cut checkpoints after.
-    pub fn init_rib(&mut self, rib: &[BgpUpdate]) {
-        let buckets = route_updates(&self.map, rib);
-        for (p, bucket) in self.parts.iter_mut().zip(&buckets) {
-            p.detector_mut().init_rib(bucket);
-        }
-    }
-
-    /// Broadcasts pre-t0 public traceroutes. Not WAL-logged; see
-    /// [`PartitionedDurable::init_rib`].
-    pub fn bootstrap_public(&mut self, traces: &[Traceroute]) {
-        for p in &mut self.parts {
-            p.detector_mut().bootstrap_public(traces);
-        }
-    }
-
-    /// Inserts a corpus traceroute (owner + broadcast registration). Not
-    /// WAL-logged; cut checkpoints after corpus maintenance.
-    pub fn add_corpus(&mut self, tr: Traceroute, src_asn: Option<Asn>) -> Option<TracerouteId> {
-        let map = self.map.clone();
-        let mut parts = self.dets_mut();
-        add_corpus_impl(&mut parts, &map, tr, src_asn)
-    }
-
-    /// Removes a corpus traceroute everywhere. Not WAL-logged; cut
-    /// checkpoints after corpus maintenance.
-    pub fn remove_corpus(&mut self, id: TracerouteId) {
-        let mut parts = self.dets_mut();
-        remove_corpus_impl(&mut parts, id);
-    }
-
-    /// Advances every partition (each WAL-logs its routed slice before
-    /// processing and cuts its own checkpoints on the window cadence,
-    /// which all partitions share) and merges the batches.
-    pub fn step(
-        &mut self,
-        now: Timestamp,
-        bgp_updates: &[BgpUpdate],
-        public: &[Traceroute],
-    ) -> Result<Vec<StalenessSignal>, StoreError> {
-        let _step_span = self.obs.step_ns.span();
-        let buckets = route_updates(&self.map, bgp_updates);
-        self.obs.observe_route(&buckets, public.len());
-        let mut batches = Vec::with_capacity(self.parts.len());
-        for (p, bucket) in self.parts.iter_mut().zip(&buckets) {
-            batches.push(p.step(now, bucket, public)?);
-        }
-        let merge_span = self.obs.merge_ns.span();
-        let merged = merge_signal_batches(batches);
-        drop(merge_span);
-        self.obs.merged_signals.add(merged.len() as u64);
-        self.log.extend(merged.iter().cloned());
-        Ok(merged)
-    }
-
-    /// Merged refresh planning (see [`PartitionedDetector::plan_refresh`]);
-    /// persists the advanced coordinator stream so a restart continues it.
-    pub fn plan_refresh(&mut self, budget: usize) -> Result<RefreshPlan, StoreError> {
-        let refs: Vec<&StalenessDetector> = self.parts.iter().map(|p| p.detector()).collect();
-        let plan = merged_plan(&refs, &mut self.plan_rng, budget);
-        self.sync_coordinator()?;
-        Ok(plan)
-    }
-
-    /// Applies a refresh measurement. Not WAL-logged; cut checkpoints
-    /// after refresh cycles (see [`DurableDetector::detector_mut`]).
-    pub fn apply_refresh(
-        &mut self,
-        old_id: TracerouteId,
-        new_tr: Traceroute,
-        src_asn: Option<Asn>,
-    ) -> (Option<TracerouteId>, bool) {
-        let map = self.map.clone();
-        let mut parts = self.dets_mut();
-        apply_refresh_impl(&mut parts, &map, old_id, new_tr, src_asn)
-    }
-
-    /// Cuts a checkpoint in every partition and persists the coordinator
-    /// state — the durable equivalent of a consistent cross-partition cut
-    /// (all partitions sit at the same closed-window count between steps).
-    pub fn cut_checkpoints(&mut self) -> Result<(), StoreError> {
-        for p in &mut self.parts {
-            p.cut_checkpoint()?;
-        }
-        self.sync_coordinator()
-    }
-
-    /// An epoch-stamped merged snapshot (see
-    /// [`PartitionedDetector::snapshot`]).
-    pub fn snapshot(&self) -> DetectorSnapshot {
-        let refs: Vec<&StalenessDetector> = self.parts.iter().map(|p| p.detector()).collect();
-        let mut cal = merged_calibrator(&refs);
-        let mut rng = self.plan_rng.clone();
-        cal.swap_rng(&mut rng);
-        crate::query::merged_snapshot(&refs, cal, self.log.len())
-    }
-
-    /// Canonical semantic state bytes (see
-    /// [`PartitionedDetector::canonical_bytes`]).
-    pub fn canonical_bytes(&mut self) -> Result<Vec<u8>, StoreError> {
-        let cal_bytes = {
-            let refs: Vec<&StalenessDetector> = self.parts.iter().map(|p| p.detector()).collect();
-            let mut cal = merged_calibrator(&refs);
-            let mut rng = self.plan_rng.clone();
-            cal.swap_rng(&mut rng);
-            rrr_store::to_payload(&cal)?
-        };
-        let log = self.log.clone();
-        let mut parts: Vec<&mut StalenessDetector> =
-            self.parts.iter_mut().map(|p| p.detector_mut()).collect();
         canonical_state_bytes(&mut parts, &cal_bytes, &log)
     }
 }
@@ -1074,12 +692,11 @@ mod tests {
     }
 
     #[test]
-    fn map_round_trips_and_fingerprint_is_stable() {
+    fn map_round_trips() {
         let map = PartitionMap::even(8);
         let bytes = rrr_store::to_payload(&map).expect("encode");
         let back: PartitionMap = rrr_store::from_payload(&bytes).expect("decode");
         assert_eq!(back, map);
-        assert_eq!(back.fingerprint().expect("fp"), map.fingerprint().expect("fp"));
         // Routing is identical through the round trip.
         for v in [0u32, 1, 1 << 29, 1 << 31, u32::MAX] {
             assert_eq!(back.of_addr(Ipv4(v)), map.of_addr(Ipv4(v)));

@@ -29,7 +29,7 @@ use crate::detector::{DetectorConfig, StalenessDetector};
 use crate::signal::StalenessSignal;
 use rrr_geo::Geolocator;
 use rrr_ip2as::{AliasResolver, IpToAsMap};
-use rrr_obs::{labeled, Counter, Gauge, Histogram, Metrics};
+use rrr_obs::{Counter, Gauge, Histogram, Metrics};
 use rrr_store::{Decoder, Encoder, Persist, StoreError, WalObs, WalReader, WalWriter};
 use rrr_topology::Topology;
 use rrr_types::{BgpUpdate, Timestamp, Traceroute};
@@ -160,26 +160,26 @@ struct DurableObs {
 }
 
 impl DurableObs {
-    fn new(m: &Metrics, labels: &str) -> DurableObs {
+    fn new(m: &Metrics) -> DurableObs {
         DurableObs {
             enabled: m.is_enabled(),
             wal_obs: WalObs {
-                frames: m.counter(&labeled("rrr_wal_frames_total", labels)),
-                bytes: m.counter(&labeled("rrr_wal_bytes_total", labels)),
-                flushes: m.counter(&labeled("rrr_wal_flushes_total", labels)),
+                frames: m.counter("rrr_wal_frames_total"),
+                bytes: m.counter("rrr_wal_bytes_total"),
+                flushes: m.counter("rrr_wal_flushes_total"),
             },
-            step_records: m.counter(&labeled("rrr_wal_records_appended_total", labels)),
-            wal_len: m.gauge(&labeled("rrr_wal_records", labels)),
-            ckpt_full: m.counter(&labeled("rrr_store_checkpoint_full_total", labels)),
-            ckpt_full_bytes: m.counter(&labeled("rrr_store_checkpoint_full_bytes_total", labels)),
-            ckpt_full_ns: m.histogram(&labeled("rrr_store_checkpoint_full_ns", labels)),
-            ckpt_delta: m.counter(&labeled("rrr_store_checkpoint_delta_total", labels)),
-            ckpt_delta_bytes: m.counter(&labeled("rrr_store_checkpoint_delta_bytes_total", labels)),
-            ckpt_delta_ns: m.histogram(&labeled("rrr_store_checkpoint_delta_ns", labels)),
-            compactions: m.counter(&labeled("rrr_store_compactions_total", labels)),
-            replayed: m.counter(&labeled("rrr_store_restore_replayed_records_total", labels)),
-            deltas_applied: m.counter(&labeled("rrr_store_restore_deltas_applied_total", labels)),
-            bytes_on_disk: m.gauge(&labeled("rrr_store_bytes_on_disk", labels)),
+            step_records: m.counter("rrr_wal_records_appended_total"),
+            wal_len: m.gauge("rrr_wal_records"),
+            ckpt_full: m.counter("rrr_store_checkpoint_full_total"),
+            ckpt_full_bytes: m.counter("rrr_store_checkpoint_full_bytes_total"),
+            ckpt_full_ns: m.histogram("rrr_store_checkpoint_full_ns"),
+            ckpt_delta: m.counter("rrr_store_checkpoint_delta_total"),
+            ckpt_delta_bytes: m.counter("rrr_store_checkpoint_delta_bytes_total"),
+            ckpt_delta_ns: m.histogram("rrr_store_checkpoint_delta_ns"),
+            compactions: m.counter("rrr_store_compactions_total"),
+            replayed: m.counter("rrr_store_restore_replayed_records_total"),
+            deltas_applied: m.counter("rrr_store_restore_deltas_applied_total"),
+            bytes_on_disk: m.gauge("rrr_store_bytes_on_disk"),
         }
     }
 }
@@ -343,14 +343,8 @@ impl DurableDetector {
     /// no-ops). Recovery work done by [`DurableDetector::open`] is credited
     /// to the restore counters at install time.
     pub fn set_metrics(&mut self, metrics: &Metrics) {
-        self.set_metrics_labeled(metrics, "");
-    }
-
-    /// Like [`DurableDetector::set_metrics`] but with a label set (e.g.
-    /// `part="0"`) baked into every metric name.
-    pub fn set_metrics_labeled(&mut self, metrics: &Metrics, labels: &str) {
-        self.det.set_metrics_labeled(metrics, labels);
-        self.obs = DurableObs::new(metrics, labels);
+        self.det.set_metrics(metrics);
+        self.obs = DurableObs::new(metrics);
         self.wal.set_obs(self.obs.wal_obs.clone());
         self.obs.replayed.add(self.restore_replayed);
         self.obs.deltas_applied.add(self.restore_deltas);

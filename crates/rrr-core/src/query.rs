@@ -22,12 +22,11 @@ use crate::corpus::Freshness;
 use crate::detector::StalenessDetector;
 use crate::signal::{SignalKey, StalenessSignal};
 use rrr_types::{Asn, Community, Ipv4, Prefix, ProbeId, Timestamp, TracerouteId, Window};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Inventory counts for one monitor family.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FamilyStats {
     /// Monitors registered.
     pub total: usize,
@@ -39,7 +38,7 @@ pub struct FamilyStats {
 
 /// Traceroute-derived monitor inventory (diagnostics; replaces the old
 /// nested-tuple return of `trace_monitor_stats`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MonitorStats {
     /// §4.2.1 IP-level subpath monitors.
     pub subpaths: FamilyStats,
@@ -48,7 +47,7 @@ pub struct MonitorStats {
 }
 
 /// Corpus entry counts per freshness class (§6.2's three classes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FreshnessSummary {
     pub fresh: usize,
     pub stale: usize,
@@ -72,7 +71,7 @@ impl FreshnessSummary {
 }
 
 /// Whole-corpus state at one epoch.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CorpusSummary {
     /// Corpus entries monitored.
     pub entries: usize,
@@ -83,7 +82,7 @@ pub struct CorpusSummary {
 }
 
 /// Corpus entries whose destination falls under one announced prefix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixSummary {
     pub prefix: Prefix,
     /// Matching corpus traceroutes, ascending by id.
@@ -93,7 +92,7 @@ pub struct PrefixSummary {
 }
 
 /// Corpus entries whose AS path traverses one AS.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsSummary {
     pub asn: Asn,
     /// Matching corpus traceroutes, ascending by id.
@@ -134,7 +133,7 @@ pub trait Query {
 }
 
 /// One corpus entry's queryable fields, frozen at snapshot time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapEntry {
     pub probe: ProbeId,
     pub dst: Ipv4,
@@ -293,72 +292,6 @@ impl StalenessDetector {
             monitors: self.trace.stats(),
             signals_logged: self.log.len(),
         }
-    }
-}
-
-/// Builds the cross-partition merged snapshot for
-/// [`crate::partition::PartitionedDetector::snapshot`]: the entry map,
-/// prefix/ASN indexes, and assertion maps union across partitions (all
-/// disjoint — an entry and its index keys live only in its owner), while
-/// the monitor stats come from partition 0 (trace monitors are broadcast,
-/// so every partition's inventory equals the single instance's). The
-/// caller supplies the merged calibrator, already carrying a copy of the
-/// coordinator RNG so [`Query::plan`] reproduces the coordinator's plan.
-pub(crate) fn merged_snapshot(
-    parts: &[&StalenessDetector],
-    cal: Calibrator,
-    signals_logged: usize,
-) -> DetectorSnapshot {
-    let mut entries = HashMap::new();
-    let mut by_prefix: BTreeMap<Prefix, Vec<TracerouteId>> = BTreeMap::new();
-    let mut by_asn: BTreeMap<Asn, Vec<TracerouteId>> = BTreeMap::new();
-    let mut active = HashMap::new();
-    let mut potential = HashMap::new();
-    for p in parts {
-        for e in p.corpus.entries() {
-            entries.insert(
-                e.id,
-                SnapEntry {
-                    probe: e.traceroute.probe,
-                    dst: e.traceroute.dst,
-                    issued: e.issued,
-                    freshness: e.freshness(),
-                },
-            );
-        }
-        for (pfx, ids) in &p.corpus.by_dst_prefix {
-            by_prefix.entry(*pfx).or_default().extend(ids.iter().copied());
-        }
-        for (asn, ids) in &p.corpus.by_asn {
-            by_asn.entry(*asn).or_default().extend(ids.iter().copied());
-        }
-        for (id, per) in &p.active {
-            active.insert(*id, per.clone());
-        }
-        for (id, keys) in &p.potential {
-            potential.insert(*id, keys.clone());
-        }
-    }
-    for ids in by_prefix.values_mut() {
-        ids.sort_unstable();
-    }
-    for ids in by_asn.values_mut() {
-        ids.sort_unstable();
-    }
-    DetectorSnapshot {
-        epoch: parts[0].closed_bgp_windows(),
-        // A merged snapshot is never a valid base for a single partition's
-        // incremental capture; poison the cursors so reuse fails closed.
-        corpus_seq: u64::MAX,
-        membership_gen: u64::MAX,
-        entries,
-        by_prefix: Arc::new(by_prefix),
-        by_asn: Arc::new(by_asn),
-        active,
-        potential: Arc::new(potential),
-        cal,
-        monitors: parts[0].trace.stats(),
-        signals_logged,
     }
 }
 

@@ -2,13 +2,12 @@
 
 use rrr_store::{Decoder, Encoder, Persist, StoreError};
 use rrr_types::{Asn, CityId, Ipv4, IxpId, Prefix, Timestamp, TracerouteId, Window};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
 /// The six staleness prediction techniques.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Technique {
     /// §4.1.2 — overlapping BGP AS-path ratio outliers.
     BgpAsPath,
@@ -58,7 +57,7 @@ impl fmt::Display for Technique {
 /// What portion of the Internet a signal's monitor watches — used both to
 /// scope which traceroutes a firing affects and to verify correctness when
 /// a refresh arrives (§4.3.1).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SignalScope {
     /// An AS-level suffix toward a destination prefix (BGP techniques).
     AsSuffix { dst_prefix: Prefix, suffix: Vec<Asn> },
@@ -73,7 +72,7 @@ pub enum SignalScope {
 
 /// Stable identity of one *potential* signal (one monitor). Calibration
 /// tallies TPR/TNR per (vantage point, key) over time.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SignalKey {
     pub technique: Technique,
     pub scope: SignalScope,
@@ -198,7 +197,7 @@ impl Persist for KeyInterner {
 }
 
 /// One staleness prediction signal: a monitor fired in a window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StalenessSignal {
     pub key: Arc<SignalKey>,
     /// When the anomaly was detected.

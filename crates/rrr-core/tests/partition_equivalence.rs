@@ -406,95 +406,6 @@ fn partitioned_run_with_firing_signals() {
     assert_eq!(ref_plans, plans, "serial facade plans diverged");
 }
 
-/// Per-partition durable gauges must report the truth on disk: after a
-/// run, `rrr_wal_records{part="k"}` equals the real record count of that
-/// partition's `wal.log` (minus the chain tag), and after a checkpoint
-/// cut `rrr_store_bytes_on_disk{part="k"}` equals the byte total of the
-/// real files under `part-NNN/`.
-#[test]
-fn durable_gauges_match_real_partition_files() {
-    use rrr_core::{DurableConfig, Metrics, PartitionedDurable};
-    use rrr_store::WalReader;
-
-    let n = 4usize;
-    let dir = std::env::temp_dir().join(format!("rrr-partition-gauge-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Keep every step in the WAL so the gauge has something to count.
-    let cfg = DurableConfig { checkpoint_every_windows: u64::MAX, ..DurableConfig::default() };
-    let parts: Vec<StalenessDetector> = (0..n).map(|_| fresh_detector()).collect();
-    let mut pd = PartitionedDurable::create(parts, split_map(n), &dir, cfg).expect("create");
-    let metrics = Metrics::enabled();
-    pd.set_metrics(&metrics);
-    pd.init_rib(&rib_seed());
-    for dst in 0..NUM_DSTS {
-        pd.add_corpus(corpus_trace(1 + dst as u64, dst), None).expect("corpus trace valid");
-    }
-
-    const STEPS: u64 = 6;
-    let rounds: Vec<Round> = (0..STEPS)
-        .map(|r| Round {
-            updates: (0..NUM_VPS)
-                .flat_map(|vp| {
-                    (0..NUM_DSTS).map(move |dst| Spec {
-                        round_off: vp as u64 * 31 + dst as u64 * 7,
-                        vp,
-                        dst,
-                        action: if r % 3 == 2 { 3 } else { 1 },
-                        comm_variant: (r % 2) as u8,
-                    })
-                })
-                .collect(),
-            traces: (0..2).map(|t| (t * 200 + 5, (t as u32) % NUM_DSTS, false)).collect(),
-        })
-        .collect();
-    for (k, round) in rounds.iter().enumerate() {
-        let (updates, public) = round_inputs(round, k as u64);
-        pd.step(Timestamp((k as u64 + 1) * ROUND), &updates, &public).expect("durable step");
-    }
-
-    let wal_records_on_disk = |k: usize| -> i64 {
-        let path = dir.join(format!("part-{k:03}")).join("wal.log");
-        let recs = WalReader::open(&path).expect("open wal").read_all().expect("read wal");
-        // The first record is the chain tag, not a step.
-        recs.len() as i64 - 1
-    };
-
-    // Mid-run (no cut yet): every partition WAL-logged every step, and the
-    // gauge tracked each append.
-    let snap = metrics.snapshot();
-    for k in 0..n {
-        let key = format!("rrr_wal_records{{part=\"{k}\"}}");
-        assert_eq!(snap.gauge(&key), STEPS as i64, "WAL gauge diverged mid-run, part {k}");
-        assert_eq!(wal_records_on_disk(k), STEPS as i64, "real WAL record count, part {k}");
-    }
-
-    // After a cut the WAL restarts empty (chain tag only) and the disk
-    // gauge is refreshed from the real directory.
-    pd.cut_checkpoints().expect("cut checkpoints");
-    let snap = metrics.snapshot();
-    for k in 0..n {
-        let wal_key = format!("rrr_wal_records{{part=\"{k}\"}}");
-        assert_eq!(snap.gauge(&wal_key), 0, "WAL gauge must reset at the cut, part {k}");
-        assert_eq!(wal_records_on_disk(k), 0, "real WAL must hold only the chain tag, part {k}");
-
-        let bytes_key = format!("rrr_store_bytes_on_disk{{part=\"{k}\"}}");
-        let real = pd.bytes_on_disk(k).expect("bytes on disk") as i64;
-        assert!(real > 0, "partition {k} must own real files");
-        assert_eq!(snap.gauge(&bytes_key), real, "disk gauge diverged from real files, part {k}");
-
-        // And `bytes_on_disk` itself is honest: re-derive it from the raw
-        // directory listing.
-        let mut manual = 0;
-        for entry in std::fs::read_dir(dir.join(format!("part-{k:03}"))).expect("read dir") {
-            manual += entry.expect("entry").metadata().expect("metadata").len();
-        }
-        assert_eq!(real as u64, manual, "bytes_on_disk vs raw listing, part {k}");
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Single-address ranges are legal placements: `[b, b+1)` holds exactly
 /// one address, and routing plus the merged run must still be
 /// bit-identical to the single reference.
@@ -541,70 +452,15 @@ fn more_partitions_than_prefixes_merge_identically() {
     assert_map_equivalent(&firing_rounds(), vec![wide, even]);
 }
 
-/// Reopening a durable partition set under a skewed detector config is a
-/// typed `ConfigMismatch`, not a silent divergence — and the unchanged
-/// config still reopens cleanly afterwards.
-#[test]
-fn reopen_with_skewed_config_is_a_typed_error() {
-    use rrr_core::{DurableConfig, PartitionedDurable};
-    use rrr_store::StoreError;
-
-    let dir = std::env::temp_dir().join(format!("rrr-partition-skew-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let parts: Vec<StalenessDetector> = (0..2).map(|_| fresh_detector()).collect();
-    let mut pd = PartitionedDurable::create(parts, split_map(2), &dir, DurableConfig::default())
-        .expect("create");
-    pd.init_rib(&rib_seed());
-    for dst in 0..NUM_DSTS {
-        pd.add_corpus(corpus_trace(1 + dst as u64, dst), None).expect("corpus trace valid");
-    }
-    for (k, round) in firing_rounds().iter().take(3).enumerate() {
-        let (updates, public) = round_inputs(round, k as u64);
-        pd.step(Timestamp((k as u64 + 1) * ROUND), &updates, &public).expect("durable step");
-    }
-    // Corpus membership is captured at checkpoint cuts, not in the WAL.
-    pd.cut_checkpoints().expect("cut checkpoints");
-    drop(pd);
-
-    // A different seed changes the config fingerprint, so the reopen must
-    // refuse with the typed mismatch rather than resume divergent state.
-    let skewed = DetectorConfig { seed: 43, ..config() };
-    match PartitionedDurable::open(&dir, |_| env(), skewed, DurableConfig::default()) {
-        Err(StoreError::ConfigMismatch { what }) => {
-            assert_eq!(what, "partition map fingerprint");
-        }
-        Err(other) => panic!("expected ConfigMismatch, got {other:?}"),
-        Ok(_) => panic!("skewed config must not reopen"),
-    }
-
-    // The honest config still gets back in with the corpus intact.
-    let pd = PartitionedDurable::open(&dir, |_| env(), config(), DurableConfig::default())
-        .expect("same config reopens");
-    for dst in 0..NUM_DSTS {
-        assert!(pd.corpus_get(TracerouteId(1 + dst as u64)).is_some(), "entry {dst} restored");
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The corpus spread is non-degenerate: at N=4 the four destinations land
-/// in distinct partitions, and the merged snapshot sees all of them.
+/// in distinct partitions, and the facade finds all of them.
 #[test]
 fn corpus_spreads_across_partitions() {
-    use rrr_core::query::Query;
-
     let parted = build_partitioned(4);
     let occupied: Vec<usize> = parted.partitions().iter().map(|p| p.corpus().len()).collect();
     assert_eq!(occupied, vec![1, 1, 1, 1], "each destination owns its own partition");
     assert_eq!(parted.corpus_len(), NUM_DSTS as usize);
-
-    let snap = parted.snapshot();
-    assert_eq!(snap.len(), NUM_DSTS as usize);
     for dst in 0..NUM_DSTS {
-        assert!(
-            snap.freshness_of(TracerouteId(1 + dst as u64)).is_some(),
-            "merged snapshot missing entry {dst}"
-        );
+        assert!(parted.corpus_get(TracerouteId(1 + dst as u64)).is_some(), "missing entry {dst}");
     }
 }

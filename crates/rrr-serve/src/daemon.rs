@@ -21,10 +21,7 @@
 
 use crate::feed::{canonical_sort, canonicalize, FeedBatch, FeedSource};
 use crate::snapshot::{ServeHandle, ServeStats, SnapshotCell};
-use rrr_core::{
-    DetectorSnapshot, DurableDetector, PartitionedDetector, Query, StalenessDetector,
-    StalenessSignal,
-};
+use rrr_core::{DetectorSnapshot, DurableDetector, Query, StalenessDetector, StalenessSignal};
 use rrr_obs::{labeled, Counter, Gauge, Histogram, Metrics};
 use rrr_types::Error;
 use std::sync::atomic::Ordering;
@@ -32,12 +29,13 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// The detector the daemon steps: bare, wrapped in crash-safe persistence
-/// (WAL + periodic checkpoints), or an N-partition deployment
-/// ([`rrr_core::partition`]). Queries never see the difference: every
-/// published snapshot is a complete [`DetectorSnapshot`] — for the
-/// partitioned engine, updates are routed to their owning partition on
-/// ingest and the publish is the deterministic cross-partition merge.
+/// The detector the daemon steps: bare, or wrapped in crash-safe
+/// persistence (WAL + periodic checkpoints). Queries never see the
+/// difference: either way the published snapshot is the wrapped
+/// [`StalenessDetector`]'s. Parallelism inside a step is that detector's
+/// `threads` setting and nothing else — range partitions
+/// ([`rrr_core::partition`]) measured slower than it on every benchmarked
+/// input, so there is no partitioned arm.
 // One Engine exists per daemon and it is moved once, into the ingest
 // thread — the variant-size spread has no per-item or per-copy cost
 // worth an indirection on every detector access.
@@ -45,73 +43,38 @@ use std::thread::JoinHandle;
 pub enum Engine {
     Plain(StalenessDetector),
     Durable(DurableDetector),
-    Partitioned(PartitionedDetector),
 }
 
 impl Engine {
     /// The wrapped detector.
-    ///
-    /// # Panics
-    ///
-    /// For [`Engine::Partitioned`] — an N-partition engine has no single
-    /// detector; query its merged state via [`Engine::snapshot`] or reach
-    /// a specific partition through
-    /// [`PartitionedDetector::partitions`].
     pub fn detector(&self) -> &StalenessDetector {
         match self {
             Engine::Plain(d) => d,
             Engine::Durable(d) => d.detector(),
-            Engine::Partitioned(_) => {
-                panic!("a partitioned engine has no single detector; use Engine::snapshot")
-            }
         }
     }
 
     /// Mutable access to the wrapped detector.
-    ///
-    /// # Panics
-    ///
-    /// For [`Engine::Partitioned`] (see [`Engine::detector`]).
     pub fn detector_mut(&mut self) -> &mut StalenessDetector {
         match self {
             Engine::Plain(d) => d,
             Engine::Durable(d) => d.detector_mut(),
-            Engine::Partitioned(_) => {
-                panic!("a partitioned engine has no single detector; use Engine::snapshot")
-            }
         }
     }
 
-    /// The engine's epoch (closed BGP windows — partitions advance in
-    /// lockstep, so any partition's count is the deployment's).
+    /// The engine's epoch (closed BGP windows).
     pub fn epoch(&self) -> u64 {
-        match self {
-            Engine::Plain(d) => d.closed_bgp_windows(),
-            Engine::Durable(d) => d.detector().closed_bgp_windows(),
-            Engine::Partitioned(p) => p.closed_bgp_windows(),
-        }
+        self.detector().closed_bgp_windows()
     }
 
-    /// A full queryable snapshot of the current state; for the partitioned
-    /// engine this is the merged cross-partition view.
+    /// A full queryable snapshot of the current state.
     pub fn snapshot(&self) -> DetectorSnapshot {
-        match self {
-            Engine::Plain(d) => d.snapshot(),
-            Engine::Durable(d) => d.detector().snapshot(),
-            Engine::Partitioned(p) => p.snapshot(),
-        }
+        self.detector().snapshot()
     }
 
-    /// A snapshot that reuses `prev`'s unchanged indexes where the engine
-    /// supports it. The partitioned merge always captures in full — its
-    /// entries span every partition, so there is no single-detector
-    /// generation counter to reuse against.
+    /// A snapshot that reuses `prev`'s unchanged indexes.
     fn snapshot_incremental(&self, prev: &DetectorSnapshot) -> DetectorSnapshot {
-        match self {
-            Engine::Plain(d) => d.snapshot_incremental(prev),
-            Engine::Durable(d) => d.detector().snapshot_incremental(prev),
-            Engine::Partitioned(p) => p.snapshot(),
-        }
+        self.detector().snapshot_incremental(prev)
     }
 
     fn step(&mut self, batch: &FeedBatch) -> Result<Vec<StalenessSignal>, Error> {
@@ -120,18 +83,15 @@ impl Engine {
             Engine::Durable(d) => {
                 d.step(batch.now, &batch.updates, &batch.public).map_err(Error::from)
             }
-            Engine::Partitioned(p) => Ok(p.step(batch.now, &batch.updates, &batch.public)),
         }
     }
 
     /// Installs `metrics` on the wrapped engine: detector counters for a
-    /// plain engine, detector + store counters for a durable one, and
-    /// per-partition labeled series for a partitioned deployment.
+    /// plain engine, detector + store counters for a durable one.
     pub fn set_metrics(&mut self, metrics: &Metrics) {
         match self {
             Engine::Plain(d) => d.set_metrics(metrics),
             Engine::Durable(d) => d.set_metrics(metrics),
-            Engine::Partitioned(p) => p.set_metrics(metrics),
         }
     }
 }
@@ -451,7 +411,14 @@ mod tests {
     use rrr_core::DetectorBuilder;
     use rrr_types::{AsPath, Asn, BgpElem, BgpUpdate, Prefix, Timestamp, VpId};
 
-    fn tiny_detector() -> StalenessDetector {
+    type Env = (
+        Arc<rrr_topology::Topology>,
+        rrr_ip2as::IpToAsMap,
+        rrr_geo::Geolocator,
+        rrr_ip2as::AliasResolver,
+    );
+
+    fn tiny_env() -> Env {
         let topo = Arc::new(rrr_topology::generate(&rrr_topology::TopologyConfig::small(3)));
         let mut map = rrr_ip2as::IpToAsMap::new();
         for i in 0..4u32 {
@@ -462,7 +429,16 @@ mod tests {
         }
         let alias = rrr_ip2as::AliasResolver::from_topology(&topo, 1.0, 0);
         let geo = rrr_geo::Geolocator::new(rrr_geo::GeoDb::default(), vec![]);
-        DetectorBuilder::new().seed(11).build(topo, map, geo, alias, (0..4).map(VpId).collect())
+        (topo, map, geo, alias)
+    }
+
+    fn tiny_builder() -> DetectorBuilder {
+        DetectorBuilder::new().seed(11)
+    }
+
+    fn tiny_detector() -> StalenessDetector {
+        let (topo, map, geo, alias) = tiny_env();
+        tiny_builder().build(topo, map, geo, alias, (0..4).map(VpId).collect())
     }
 
     fn upd(vp: u32, t: u64, third: u8) -> BgpUpdate {
@@ -561,8 +537,8 @@ mod tests {
         assert_eq!(report.signals, want);
     }
 
-    /// A corpus entry per destination prefix so the partitioned daemon
-    /// actually has per-partition state to merge.
+    /// A corpus entry per destination prefix, so the durable daemon has
+    /// monitor state to checkpoint.
     fn corpus_tr(i: u32) -> rrr_types::Traceroute {
         use rrr_types::{Hop, Ipv4, ProbeId, TracerouteId};
         rrr_types::Traceroute {
@@ -579,62 +555,68 @@ mod tests {
         }
     }
 
-    /// The daemon over an N-partition engine must publish snapshots (the
-    /// merged cross-partition view) and emit signals bit-identical to the
-    /// serial single-detector replay of the same stream — the serve-side
-    /// face of the partition-invariance oracle.
+    fn checkpoint_bytes(det: &StalenessDetector) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        det.checkpoint(&mut bytes).expect("checkpoint");
+        bytes
+    }
+
+    /// The daemon over a durable engine must publish snapshots and emit
+    /// signals bit-identical to the serial replay of a plain detector,
+    /// end in the same state, and leave a directory that reopens to it.
     #[test]
-    fn partitioned_daemon_matches_serial_replay() {
-        use rrr_core::{PartitionMap, PartitionedDetector};
+    fn durable_daemon_matches_serial_replay() {
+        use rrr_core::DurableConfig;
 
         let steps = scripted_rounds();
-        let mut reference = tiny_detector();
-        for i in 1..4u32 {
-            let _ = reference.add_corpus(corpus_tr(i), None);
-        }
-        let mut want_signals = Vec::new();
-        {
-            let mut serial = tiny_detector();
+        let with_corpus = || {
+            let mut det = tiny_detector();
             for i in 1..4u32 {
-                let _ = serial.add_corpus(corpus_tr(i), None);
+                let _ = det.add_corpus(corpus_tr(i), None);
             }
-            for b in canonicalize(&steps) {
-                want_signals.extend(serial.step(b.now, &b.updates, &b.public));
-            }
-        }
-        let (_, want_snaps) = replay_reference(reference, &steps);
+            det
+        };
+        let (reference, want_snaps) = replay_reference(with_corpus(), &steps);
         assert!(!want_snaps.is_empty(), "rounds must close windows");
+        let want_ck = checkpoint_bytes(&reference);
 
-        for n in [2usize, 3] {
-            // Split the 10.1/10.2/10.3 corpus key range into n partitions.
-            let splits: Vec<u32> = (1..n as u32)
-                .map(|k| rrr_types::Ipv4::new(10, 1 + k as u8, 0, 0).value())
-                .collect();
-            let map = PartitionMap::from_splits(splits).expect("valid splits");
-            let mut pd = PartitionedDetector::from_factory(map, |_| tiny_detector());
-            for i in 1..4u32 {
-                let _ = pd.add_corpus(corpus_tr(i), None);
-            }
-            let feeds: Vec<Box<dyn FeedSource>> = split_rounds(&steps, 2)
-                .into_iter()
-                .map(|b| Box::new(ScriptedFeed::new(b)) as Box<dyn FeedSource>)
-                .collect();
-            let daemon = Daemon::spawn(
-                Engine::Partitioned(pd),
-                feeds,
-                DaemonConfig {
-                    channel_capacity: 1,
-                    record_snapshots: true,
-                    ..DaemonConfig::default()
-                },
-            );
-            let report = daemon.join().expect("drained");
-            assert_eq!(report.signals, want_signals, "n={n}");
-            assert_eq!(report.snapshots.len(), want_snaps.len(), "n={n}");
-            for (got, want) in report.snapshots.iter().zip(&want_snaps) {
-                assert_same_answers(got, want);
-            }
+        let dir = std::env::temp_dir()
+            .join(format!("rrr-serve-durable-daemon-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A cut every second window, deltas kept however large: the run
+        // leaves a delta chain and WAL records past its last frame.
+        let cfg = DurableConfig {
+            checkpoint_every_windows: 2,
+            compact_size_ratio: 0,
+            ..DurableConfig::default()
+        };
+        let durable = DurableDetector::create(with_corpus(), &dir, cfg.clone()).expect("create");
+        let feeds: Vec<Box<dyn FeedSource>> = split_rounds(&steps, 2)
+            .into_iter()
+            .map(|b| Box::new(ScriptedFeed::new(b)) as Box<dyn FeedSource>)
+            .collect();
+        let daemon = Daemon::spawn(
+            Engine::Durable(durable),
+            feeds,
+            DaemonConfig { channel_capacity: 1, record_snapshots: true, ..DaemonConfig::default() },
+        );
+        let report = daemon.join().expect("drained");
+        assert_eq!(report.signals, reference.signal_log());
+        assert_eq!(report.snapshots.len(), want_snaps.len());
+        for (got, want) in report.snapshots.iter().zip(&want_snaps) {
+            assert_same_answers(got, want);
         }
+        assert_eq!(checkpoint_bytes(report.engine.detector()), want_ck, "final state");
+        drop(report);
+        assert!(dir.join("delta-00001.rrr").exists(), "the run must leave a delta chain");
+
+        let (topo, map, geo, alias) = tiny_env();
+        let det_cfg = tiny_builder().config().clone();
+        let reopened =
+            DurableDetector::open(&dir, topo, map, geo, alias, det_cfg, cfg).expect("reopen");
+        assert_eq!(checkpoint_bytes(reopened.detector()), want_ck, "reopened state");
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

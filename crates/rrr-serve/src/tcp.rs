@@ -17,8 +17,10 @@
 //! that never sends a newline cannot grow the daemon. The accept loop drops
 //! the handles of handlers that have finished whenever it adds one, so the
 //! list holds the open connections, not every connection ever made.
-//! [`TcpServer::shutdown`] stops accepting, wakes the handlers, and joins
-//! every thread.
+//! A client that stops reading its replies is closed on once a reply has
+//! made no progress into its socket for a second (`WRITE_STALL`), so no
+//! handler waits on a client for longer than that. [`TcpServer::shutdown`] stops
+//! accepting, wakes the handlers, and joins every thread.
 
 use crate::snapshot::ServeHandle;
 use crate::wire::{decode_request, encode_error, encode_response};
@@ -38,6 +40,10 @@ pub const MAX_REQUEST: usize = 64 * 1024;
 /// How long the rest of an oversized request is read and dropped before
 /// the connection is closed on it.
 const DRAIN: Duration = Duration::from_secs(1);
+
+/// How long a reply may sit unwritten, the client's socket full, before the
+/// connection is closed on it.
+const WRITE_STALL: Duration = Duration::from_secs(1);
 
 /// A running TCP query server.
 pub struct TcpServer {
@@ -69,10 +75,15 @@ impl TcpServer {
                             Ok((socket, _)) => {
                                 let handle = handle.clone();
                                 let stop = Arc::clone(&stop);
-                                let t = std::thread::Builder::new()
+                                // Out of threads: the socket went into the
+                                // closure, so that connection is closed; the
+                                // ones being served carry on.
+                                let Ok(t) = std::thread::Builder::new()
                                     .name("rrr-conn".into())
                                     .spawn(move || serve_conn(socket, handle, stop))
-                                    .expect("spawn connection thread");
+                                else {
+                                    continue;
+                                };
                                 let mut conns = conns.lock().expect("conns lock");
                                 conns.retain(|t| !t.is_finished());
                                 conns.push(t);
@@ -128,6 +139,12 @@ fn serve_conn(socket: TcpStream, handle: ServeHandle, stop: Arc<AtomicBool>) {
     // Read with a timeout so the handler notices `stop` even while a
     // client holds the connection open silently.
     let _ = socket.set_read_timeout(Some(POLL));
+    // Without this a client that sends requests and never reads parks the
+    // handler inside `write_all` for good, and `shutdown` with it. When it
+    // fires part of a reply may be out, so the connection is closed.
+    if socket.set_write_timeout(Some(WRITE_STALL)).is_err() {
+        return;
+    }
     let _ = socket.set_nodelay(true);
     let mut writer = match socket.try_clone() {
         Ok(w) => w,
@@ -240,6 +257,10 @@ mod tests {
 
     /// An idle daemon over a tiny-world detector, and a server on it.
     fn idle_server() -> (Daemon, TcpServer) {
+        idle_server_with(DaemonConfig::default())
+    }
+
+    fn idle_server_with(cfg: DaemonConfig) -> (Daemon, TcpServer) {
         let topo =
             std::sync::Arc::new(rrr_topology::generate(&rrr_topology::TopologyConfig::small(3)));
         let alias = rrr_ip2as::AliasResolver::from_topology(&topo, 1.0, 0);
@@ -250,11 +271,8 @@ mod tests {
             alias,
             vec![],
         );
-        let daemon = Daemon::spawn(
-            Engine::Plain(det),
-            vec![Box::new(ScriptedFeed::default())],
-            DaemonConfig::default(),
-        );
+        let daemon =
+            Daemon::spawn(Engine::Plain(det), vec![Box::new(ScriptedFeed::default())], cfg);
         let server = TcpServer::bind("127.0.0.1:0", daemon.handle()).expect("bind");
         (daemon, server)
     }
@@ -352,6 +370,33 @@ mod tests {
         replies.read_line(&mut reply).expect("read");
         assert!(reply.contains("monitor_stats"), "{reply}");
         server.shutdown();
+        daemon.join().expect("drained");
+    }
+
+    #[test]
+    fn client_that_never_reads_cannot_hold_up_shutdown() {
+        // A live registry makes each `metrics` reply a few kilobytes, so
+        // the socket buffers fill after a few thousand requests.
+        let cfg = DaemonConfig { metrics: rrr_obs::Metrics::enabled(), ..DaemonConfig::default() };
+        let (daemon, mut server) = idle_server_with(cfg);
+        let mut client = TcpStream::connect(server.addr()).expect("connect");
+        client.set_write_timeout(Some(Duration::from_millis(500))).expect("write timeout");
+        // Requests go in and no reply is read. Once the handler is stuck
+        // writing it stops reading too, and a write here makes no progress
+        // for the whole timeout (or fails, once the server has hung up).
+        let requests = b"{\"query\":\"metrics\"}\n".repeat(1024);
+        while client.write(&requests).is_ok() {}
+
+        let (done, returned) = std::sync::mpsc::channel();
+        let shutdown = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        returned
+            .recv_timeout(Duration::from_secs(5))
+            .expect("shutdown must not wait on a client that does not read");
+        shutdown.join().expect("shutdown thread");
+        drop(client);
         daemon.join().expect("drained");
     }
 }

@@ -13,9 +13,7 @@ use crate::weather;
 use rrr_baselines::{run_emulation, Dtrack, EmuWorld, PathTimeline, RoundRobin};
 use rrr_bench::weather::WeatherScale;
 use rrr_core::partition::{canonical_bytes_single, PartitionMap, PartitionedDetector};
-use rrr_core::{
-    DurableConfig, DurableDetector, PartitionedDurable, Query, StalenessDetector, StalenessSignal,
-};
+use rrr_core::{DurableConfig, DurableDetector, Query, StalenessDetector, StalenessSignal};
 use rrr_mrt::{record_to_updates, MrtReader, MrtWriter, VpDirectory};
 use rrr_serve::{
     replay_reference, split_rounds, Daemon, DaemonConfig, Engine, FeedBatch, FeedSource,
@@ -76,9 +74,7 @@ pub fn run_once(sc: &Scenario, base_threads: usize) -> Result<(), OracleFailure>
             Oracle::ServeEquivalence { feeds } => {
                 oracle_serve_equivalence(&world, &steps, feeds as usize, base_threads)
             }
-            Oracle::PartitionInvariance { crash } => {
-                oracle_partition_invariance(sc, &world, &steps, crash as usize)
-            }
+            Oracle::PartitionInvariance => oracle_partition_invariance(&world, &steps),
             Oracle::MetricsInvariants => {
                 oracle_metrics_invariants(sc, &world, &steps, base_threads)
             }
@@ -548,17 +544,8 @@ fn drive_partitioned(pd: &mut PartitionedDetector, steps: &[RoundInput]) -> Vec<
 
 /// N partitions must reproduce the single-instance run bit-identically:
 /// merged signal log, refresh plans, and canonical state bytes, at every
-/// count in [`PARTITION_COUNTS`]. With `crash > 0` the partitioned side
-/// runs durably and the partition owning the last corpus entry is killed
-/// after `crash` steps — its in-memory state discarded, recovered from
-/// its own checkpoint chain and WAL — while the coordinator and the other
-/// partitions keep running.
-fn oracle_partition_invariance(
-    sc: &Scenario,
-    world: &SimWorld,
-    steps: &[RoundInput],
-    crash: usize,
-) -> Result<(), String> {
+/// count in [`PARTITION_COUNTS`].
+fn oracle_partition_invariance(world: &SimWorld, steps: &[RoundInput]) -> Result<(), String> {
     let mut reference = world.build(1);
     let ref_plans = drive(&mut reference, steps, Some(PLAN_BUDGET));
     let ref_log = log_repr(&reference);
@@ -566,20 +553,11 @@ fn oracle_partition_invariance(
         canonical_bytes_single(&mut reference).map_err(|e| format!("reference bytes: {e}"))?;
 
     for &n in &PARTITION_COUNTS {
-        let map = partition_map_for(world, n)?;
-        let (log, plans, bytes) = if crash == 0 {
-            let mut pd = build_partitioned(world, map);
-            let plans = drive_partitioned(&mut pd, steps);
-            pd.validate().map_err(|e| format!("N={n}: {e}"))?;
-            let log: Vec<String> = pd.signal_log().iter().map(signal_repr).collect();
-            let bytes = pd.canonical_bytes().map_err(|e| format!("N={n} bytes: {e}"))?;
-            (log, plans, bytes)
-        } else {
-            let dir = fresh_dir(&format!("{}-part{n}", sc.name));
-            let result = partition_crash_run(world, steps, map, crash, n, &dir);
-            let _ = std::fs::remove_dir_all(&dir);
-            result?
-        };
+        let mut pd = build_partitioned(world, partition_map_for(world, n)?);
+        let plans = drive_partitioned(&mut pd, steps);
+        pd.validate().map_err(|e| format!("N={n}: {e}"))?;
+        let log: Vec<String> = pd.signal_log().iter().map(signal_repr).collect();
+        let bytes = pd.canonical_bytes().map_err(|e| format!("N={n} bytes: {e}"))?;
         if log != ref_log {
             return Err(format!(
                 "merged signal log diverges at N={n} partitions: {}",
@@ -601,61 +579,6 @@ fn oracle_partition_invariance(
         }
     }
     Ok(())
-}
-
-/// What every partition-invariance leg produces for comparison: signal
-/// log lines, per-step refresh plans, park-normalized canonical bytes.
-type PartitionRunOutput = (Vec<String>, Vec<Vec<TracerouteId>>, Vec<u8>);
-
-/// The durable leg of the partition-invariance oracle: run through
-/// [`PartitionedDurable`], kill one partition after `crash` steps, recover
-/// it from disk, finish the stream.
-fn partition_crash_run(
-    world: &SimWorld,
-    steps: &[RoundInput],
-    map: PartitionMap,
-    crash: usize,
-    n: usize,
-    dir: &PathBuf,
-) -> Result<PartitionRunOutput, String> {
-    // Keep every step in the WAL; corpus churn from refreshes is made
-    // durable by explicit checkpoint cuts after each applied plan (corpus
-    // maintenance is not WAL-logged by design).
-    let cfg = DurableConfig { checkpoint_every_windows: u64::MAX, ..DurableConfig::default() };
-    let (parts, map) = build_partitioned(world, map).into_parts();
-    let mut pd = PartitionedDurable::create(parts, map, dir, cfg)
-        .map_err(|e| format!("N={n}: creating the durable partitions: {e}"))?;
-
-    // The crashed partition: the one owning the last corpus entry (a
-    // non-empty victim whenever the map spreads the corpus at all).
-    let last_id = world.corpus_seed().last().map(|(tr, _)| tr.id);
-    let victim = last_id.and_then(|id| pd.owner_of(id)).unwrap_or(0);
-
-    let mut plans = Vec::new();
-    for (k, ri) in steps.iter().enumerate() {
-        if k == crash {
-            let (topo, ip2as, geo, alias) = world.env();
-            pd.reopen_partition(victim, topo, ip2as, geo, alias, world.det_config(1))
-                .map_err(|e| format!("N={n}: recovering partition {victim} at step {k}: {e}"))?;
-        }
-        pd.step(ri.now, &ri.updates, &ri.public)
-            .map_err(|e| format!("N={n}: durable step {k}: {e}"))?;
-        if (k + 1) % PLAN_EVERY == 0 {
-            let plan = pd.plan_refresh(PLAN_BUDGET).map_err(|e| format!("N={n}: planning: {e}"))?;
-            for (j, &old) in plan.refresh.iter().enumerate() {
-                let Some(entry) = pd.corpus_get(old) else { continue };
-                let mut fresh = entry.traceroute.clone();
-                fresh.id = TracerouteId(900_000 + (k as u64) * 100 + j as u64);
-                fresh.time = ri.now;
-                let _ = pd.apply_refresh(old, fresh, None);
-            }
-            pd.cut_checkpoints().map_err(|e| format!("N={n}: checkpoint cut: {e}"))?;
-            plans.push(plan.refresh);
-        }
-    }
-    let log: Vec<String> = pd.signal_log().iter().map(signal_repr).collect();
-    let bytes = pd.canonical_bytes().map_err(|e| format!("N={n} bytes: {e}"))?;
-    Ok((log, plans, bytes))
 }
 
 /// Refresh plans stay within budget and only name live corpus entries;
@@ -1200,7 +1123,7 @@ mod tests {
     }
 
     #[test]
-    fn partition_invariance_holds_with_and_without_a_crash() {
+    fn partition_invariance_holds() {
         let sc = Scenario::parse(
             r#"Scenario(
                 name: "unit-partition",
@@ -1209,7 +1132,7 @@ mod tests {
                 rounds: 8,
                 half_steps: true,
                 events: [CommunityFlip(from: 2, to: 5, dst: 0, variant: 1)],
-                oracles: [PartitionInvariance(crash: 0), PartitionInvariance(crash: 7)],
+                oracles: [PartitionInvariance],
             )"#,
         )
         .expect("parses");

@@ -75,19 +75,14 @@ pub enum Oracle {
     /// A partitioned deployment (at every count in
     /// `runner::PARTITION_COUNTS`) produces merged signal logs, refresh
     /// plans, and canonical state bytes bit-identical to one unpartitioned
-    /// instance on the faulted stream. With `crash > 0` the run goes
-    /// through `PartitionedDurable` and one partition is killed after that
-    /// many steps (mid-window when `half_steps` makes the index land
-    /// inside a round) and recovered from its own WAL while the rest keep
-    /// their live state.
-    PartitionInvariance { crash: u64 },
+    /// instance on the faulted stream.
+    PartitionInvariance,
     /// Cross-subsystem accounting identities hold on the `rrr-obs`
     /// registry after instrumented runs of the faulted stream: detector
     /// counters match ground-truth step/signal/window tallies, durable
-    /// counters match WAL/checkpoint activity, partition series sum to
-    /// their totals, and the daemon's publish epoch equals its window
-    /// count — while the instrumented outputs stay bit-identical to the
-    /// uninstrumented run (metrics are inert).
+    /// counters match WAL/checkpoint activity, and the daemon's publish
+    /// epoch equals its window count — while the instrumented outputs
+    /// stay bit-identical to the uninstrumented run (metrics are inert).
     MetricsInvariants,
     /// The weather regime's signals, scored against the generator's
     /// ground-truth event log, produce a sane [`crate::WeatherReport`]:
@@ -107,7 +102,7 @@ impl Oracle {
             Oracle::Baselines { .. } => "baselines",
             Oracle::MrtRoundTrip => "mrt-round-trip",
             Oracle::ServeEquivalence { .. } => "serve-equivalence",
-            Oracle::PartitionInvariance { .. } => "partition-invariance",
+            Oracle::PartitionInvariance => "partition-invariance",
             Oracle::MetricsInvariants => "metrics-invariants",
             Oracle::WeatherReport => "weather-report",
         }
@@ -278,10 +273,7 @@ impl Oracle {
                 "ServeEquivalence".to_string(),
                 vec![("feeds".to_string(), Value::Int(feeds as i64))],
             ),
-            Oracle::PartitionInvariance { crash } => Value::Struct(
-                "PartitionInvariance".to_string(),
-                vec![("crash".to_string(), Value::Int(crash as i64))],
-            ),
+            Oracle::PartitionInvariance => Value::Unit("PartitionInvariance".to_string()),
             Oracle::MetricsInvariants => Value::Unit("MetricsInvariants".to_string()),
             Oracle::WeatherReport => Value::Unit("WeatherReport".to_string()),
         }
@@ -306,9 +298,7 @@ impl Oracle {
                 }
                 Ok(Oracle::ServeEquivalence { feeds })
             }
-            "PartitionInvariance" => {
-                Ok(Oracle::PartitionInvariance { crash: opt_u64(v, "crash", 0)? })
-            }
+            "PartitionInvariance" => Ok(Oracle::PartitionInvariance),
             "MetricsInvariants" => Ok(Oracle::MetricsInvariants),
             "WeatherReport" => Ok(Oracle::WeatherReport),
             other => Err(bad(format!("unknown oracle `{other}`"))),
@@ -478,19 +468,6 @@ impl Scenario {
                 )));
             }
         }
-        if let Some(Oracle::PartitionInvariance { crash }) =
-            self.oracles.iter().find(|o| matches!(o, Oracle::PartitionInvariance { .. }))
-        {
-            if *crash >= self.total_steps() {
-                return Err(bad(format!(
-                    "scenario `{}`: PartitionInvariance crash {} must be below {} \
-                     (0 disables the crash)",
-                    self.name,
-                    crash,
-                    self.total_steps()
-                )));
-            }
-        }
         if self.world == WorldKind::Bench
             && (!self.events.is_empty()
                 || self.half_steps
@@ -590,7 +567,7 @@ mod tests {
             Oracle::Baselines { budget: 1 },
             Oracle::MrtRoundTrip,
             Oracle::ServeEquivalence { feeds: 1 },
-            Oracle::PartitionInvariance { crash: 0 },
+            Oracle::PartitionInvariance,
             Oracle::MetricsInvariants,
             Oracle::WeatherReport,
         ];

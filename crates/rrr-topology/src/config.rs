@@ -1,10 +1,8 @@
 //! Generator configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters controlling topology generation. All randomness is driven by
 /// `seed`, so equal configs generate identical topologies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopologyConfig {
     pub seed: u64,
     /// Total number of ASes (≤ 1024 under the address plan).

@@ -3,12 +3,10 @@
 
 use crate::registry::Registry;
 use rrr_types::{Asn, CityId, Ipv4, IxpId, PeeringPointId, Prefix, RouterId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Dense index of an AS inside a [`Topology`] (not the ASN itself).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AsIdx(pub u32);
 
 impl AsIdx {
@@ -20,8 +18,7 @@ impl AsIdx {
 
 /// Dense index of an adjacency (an AS-AS edge, possibly with several
 /// peering points).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AdjacencyId(pub u32);
 
 impl AdjacencyId {
@@ -32,7 +29,7 @@ impl AdjacencyId {
 }
 
 /// Position of an AS in the transit hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Tier {
     /// Member of the peering clique at the top.
     Tier1,
@@ -45,7 +42,7 @@ pub enum Tier {
 }
 
 /// The business relationship of *a neighbor* relative to the local AS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relationship {
     /// The neighbor pays us: we provide transit to it.
     Customer,
@@ -67,7 +64,7 @@ impl Relationship {
 }
 
 /// A reference from an AS to one of its neighbors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NeighborRef {
     pub peer: AsIdx,
     pub adj: AdjacencyId,
@@ -76,7 +73,7 @@ pub struct NeighborRef {
 }
 
 /// One autonomous system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsInfo {
     pub asn: Asn,
     pub tier: Tier,
@@ -111,7 +108,7 @@ impl AsInfo {
 
 /// An AS-AS adjacency. `rel_b` gives `b`'s relationship relative to `a`
 /// (e.g. `Customer` means "b is a's customer").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adjacency {
     pub id: AdjacencyId,
     pub a: AsIdx,
@@ -144,7 +141,7 @@ impl Adjacency {
 
 /// One physical interconnection between two ASes: a pair of border-router
 /// interfaces in a city, either on a private cross-connect or an IXP LAN.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PeeringPoint {
     pub id: PeeringPointId,
     pub adj: AdjacencyId,
@@ -180,7 +177,7 @@ impl PeeringPoint {
 
 /// A router. Each AS has one "city router" per city of presence; diamonds
 /// add auxiliary mid routers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Router {
     pub id: RouterId,
     pub owner: AsIdx,
@@ -197,7 +194,7 @@ pub struct Router {
 }
 
 /// An Internet exchange point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ixp {
     pub id: IxpId,
     /// The route-server ASN (to be stripped from AS paths).

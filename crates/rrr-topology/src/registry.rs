@@ -8,11 +8,10 @@
 
 use crate::model::AsIdx;
 use rrr_types::{Asn, CityId, FacilityId, IxpId, Prefix};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// A colocation facility.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Facility {
     pub id: FacilityId,
     pub city: CityId,

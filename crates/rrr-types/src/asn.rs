@@ -1,11 +1,9 @@
 //! Autonomous system numbers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An autonomous system number (32-bit, per RFC 6793).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Asn(pub u32);
 
 impl Asn {

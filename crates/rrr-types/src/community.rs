@@ -2,7 +2,6 @@
 //! community-based staleness technique exploits (§4.1.3).
 
 use crate::{Asn, CityId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A standard 32-bit BGP community `asn:value`.
@@ -10,8 +9,7 @@ use std::fmt;
 /// By convention the top 16 bits name the AS that defines the community and
 /// the low 16 bits carry its meaning (e.g. `13030:51701` = "learned at
 /// Telehouse LON-1" in the paper's Figure 3 example).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Community(pub u32);
 
 impl Community {

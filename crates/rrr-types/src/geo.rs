@@ -1,12 +1,10 @@
 //! Geography: cities and great-circle distance, used by the router-level
 //! border technique (§4.2.2) and the geolocation pipeline (Appendix A).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a city in the topology's city table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CityId(pub u16);
 
 impl fmt::Display for CityId {
@@ -16,7 +14,7 @@ impl fmt::Display for CityId {
 }
 
 /// A point on the globe, degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     pub lat_deg: f64,
     pub lon_deg: f64,

@@ -1,15 +1,13 @@
 //! Opaque identifier newtypes used across the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal, $inner:ty) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
-        #[serde(transparent)]
         pub struct $name(pub $inner);
 
         impl $name {

@@ -5,13 +5,11 @@
 //! address allocation) without repeated octet conversions, while keeping the
 //! familiar dotted-quad `Display`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// An IPv4 address stored as a host-order `u32`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ipv4(pub u32);
 
 impl Ipv4 {
@@ -81,7 +79,7 @@ impl FromStr for Ipv4 {
 }
 
 /// An IPv4 prefix in CIDR form, always stored normalized (host bits zero).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     addr: Ipv4,
     len: u8,

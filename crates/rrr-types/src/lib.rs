@@ -6,8 +6,8 @@
 //! communities, timestamps and analysis windows, geographic locations, and
 //! the record types for BGP updates and traceroutes.
 //!
-//! Everything here is `Copy` or cheaply clonable, ordered, hashable, and
-//! serde-serializable so records can be persisted by the experiment harness.
+//! Everything here is `Copy` or cheaply clonable, ordered and hashable;
+//! records persist through `rrr-store`'s `Persist` encoding.
 
 pub mod asn;
 pub mod community;

@@ -1,7 +1,6 @@
 //! AS paths and the overlap computations the paper's BGP techniques rely on.
 
 use crate::Asn;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A BGP AS path, stored nearest-neighbor first (index 0 is the AS closest
@@ -10,7 +9,7 @@ use std::fmt;
 /// Prepending is preserved as repeated elements; [`AsPath::deduped`] collapses
 /// them for hop-level comparisons (the paper merges consecutive identical AS
 /// hops, Appendix A).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct AsPath(pub Vec<Asn>);
 
 impl AsPath {

@@ -2,11 +2,10 @@
 //! traceroutes as issued by a measurement platform.
 
 use crate::{AsPath, Community, Ipv4, Prefix, ProbeId, Timestamp, VpId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The body of a BGP update element.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BgpElem {
     /// A (re-)announcement. A "duplicate update" in the paper's sense is an
     /// `Announce` whose path and communities equal the previously announced
@@ -36,7 +35,7 @@ impl BgpElem {
 }
 
 /// One BGP update element received by a collector from a vantage point.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BgpUpdate {
     /// When the collector received the update.
     pub time: Timestamp,
@@ -78,8 +77,7 @@ impl fmt::Display for BgpUpdate {
 }
 
 /// Unique identifier of a traceroute measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TracerouteId(pub u64);
 
 impl fmt::Display for TracerouteId {
@@ -89,7 +87,7 @@ impl fmt::Display for TracerouteId {
 }
 
 /// One hop of a traceroute. `None` means the hop did not respond (`*`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Hop {
     pub addr: Option<Ipv4>,
 }
@@ -107,7 +105,7 @@ impl Hop {
 }
 
 /// A traceroute measurement: source probe, destination, and the hop list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Traceroute {
     pub id: TracerouteId,
     /// The probe that issued the measurement.

@@ -1,22 +1,15 @@
 //! Simulation time, durations, and the fixed-duration analysis windows the
 //! signal techniques operate on (§4.1.2 footnote 1, §4.2.1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Seconds since the start of the simulated measurement campaign.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Timestamp(pub u64);
 
 /// A span of simulated time, in seconds.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Duration(pub u64);
 
 impl Duration {
@@ -80,7 +73,7 @@ impl fmt::Display for Timestamp {
 
 /// A window index under a given [`WindowConfig`] — the unit at which the
 /// paper's time series are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Window(pub u64);
 
 impl Window {
@@ -97,7 +90,7 @@ impl Window {
 /// The paper uses 15 minutes for BGP-derived series (the RouteViews dump
 /// cycle) and between 15 minutes and 24 hours for traceroute-derived series,
 /// the smallest duration that still yields 20 consecutive populated windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowConfig {
     /// Window duration.
     pub duration: Duration,

@@ -86,8 +86,8 @@ pub mod prelude {
     pub use rrr_anomaly::{BitmapDetector, ModifiedZScore};
     pub use rrr_bgp::{Engine, EngineConfig, EventConfig};
     pub use rrr_core::{
-        CorpusOps, DetectorBuilder, DetectorConfig, DurableConfig, DurableDetector, Freshness,
-        Ingest, Query, RefreshPlan, SignalScope, StalenessDetector, StalenessSignal, Technique,
+        DetectorBuilder, DetectorConfig, DurableConfig, DurableDetector, Freshness, Query,
+        RefreshPlan, SignalScope, StalenessDetector, StalenessSignal, Technique,
     };
     pub use rrr_geo::{GeoDb, Geolocator};
     pub use rrr_ip2as::{AliasResolver, IpToAsMap};
