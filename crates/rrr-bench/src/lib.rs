@@ -3,7 +3,6 @@
 //! and result printing/serialization.
 
 pub mod eval;
-pub mod pipeline;
 pub mod retro;
 pub mod table;
 pub mod weather;

@@ -628,17 +628,6 @@ impl BgpMonitors {
         });
     }
 
-    /// Number of distinct interned signal keys (for tests/stats).
-    pub fn interned_keys(&self) -> usize {
-        self.interner.len()
-    }
-
-    /// Number of distinct interned AS paths across all shard arenas
-    /// (for tests/stats).
-    pub fn interned_paths(&self) -> usize {
-        self.shards.iter().map(|s| s.paths.len()).sum()
-    }
-
     /// Test/diagnostic view of the RIB mirror with interned handles
     /// resolved to owned values.
     pub fn rib_snapshot(&self) -> BTreeMap<(VpId, Prefix), (AsPath, Vec<Community>)> {
@@ -937,11 +926,6 @@ impl BgpMonitors {
         }
         self.delta_groups.clear();
         self.delta_reg = false;
-    }
-
-    /// Number of delta-dirty groups (for tests/stats).
-    pub fn delta_dirty_groups(&self) -> usize {
-        self.delta_groups.len()
     }
 
     /// Canonical per-group serialization: each group's key and state

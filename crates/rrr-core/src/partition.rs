@@ -451,10 +451,6 @@ impl PartitionedDetector {
         PartitionedDetector::new(parts, map)
     }
 
-    pub fn partition_map(&self) -> &PartitionMap {
-        &self.map
-    }
-
     pub fn partitions(&self) -> &[StalenessDetector] {
         &self.parts
     }

@@ -245,7 +245,8 @@ impl DurableDetector {
     /// against a superseded full snapshot, or a WAL whose chain tag no
     /// longer matches — are detected and discarded rather than applied
     /// twice. Genuine corruption (bit rot, truncation, a chain with a
-    /// missing link) still surfaces as a typed [`StoreError`].
+    /// missing link, a WAL tagged for a frame past the chain's end) still
+    /// surfaces as a typed [`StoreError`].
     pub fn open(
         dir: impl Into<PathBuf>,
         topo: Arc<Topology>,
@@ -302,13 +303,22 @@ impl DurableDetector {
         let mut restore_replayed = 0u64;
         if let Some(payload) = reader.next_record()? {
             let tag: (u32, u32) = rrr_store::from_payload(&payload)?;
-            if tag == det.delta_chain() {
+            let (base, seq) = det.delta_chain();
+            if tag == (base, seq) {
                 tagged = true;
                 while let Some(payload) = reader.next_record()? {
                     let rec: StepRecord = rrr_store::from_payload(&payload)?;
                     let _ = det.step(rec.now, &rec.bgp_updates, &rec.public);
                     restore_replayed += 1;
                 }
+            } else if tag.0 == base && tag.1 > seq {
+                // The log extends a frame of this chain that is not on
+                // disk: the windows up to that frame are gone, and an
+                // empty log would hide it. (Another base, or an earlier
+                // frame, is a log the snapshots have superseded.)
+                return Err(StoreError::DeltaChainBroken {
+                    what: "the WAL extends a delta frame newer than any on disk",
+                });
             }
         }
         drop(reader);

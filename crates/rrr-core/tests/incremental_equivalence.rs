@@ -662,6 +662,16 @@ fn reopen_still_checks_every_frame_of_the_chain() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 
+    // A missing newest frame: frames 1–3 verify, but the WAL is tagged for
+    // frame 4 — discarding it as stale would silently lose a window.
+    let dir = durable_dir_with_chain("tail", &rounds, 4);
+    std::fs::remove_file(dir.join("delta-00004.rrr")).expect("remove delta 4");
+    match reopen(&dir).map(|_| ()) {
+        Err(StoreError::DeltaChainBroken { .. }) => {}
+        other => panic!("expected DeltaChainBroken for a missing newest frame, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
     // A full snapshot sitting where an intermediate frame should.
     let dir = durable_dir_with_chain("kind", &rounds, 4);
     std::fs::copy(dir.join("checkpoint.rrr"), dir.join("delta-00003.rrr")).expect("overwrite");

@@ -4,10 +4,11 @@
 //! paper's §4.1.1 ingestion ("we use BGPStream to stream updates ... and
 //! monitor for updates in the VP's route to the prefix").
 
+use crate::bgp::BgpMessage;
 use crate::mrt::MrtRecord;
 use crate::stream::{record_to_updates, VpDirectory};
 use crate::wire::Error;
-use rrr_types::{BgpUpdate, Ipv4, Prefix, Timestamp};
+use rrr_types::{Asn, BgpElem, BgpUpdate, Ipv4, Prefix, Timestamp};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
@@ -32,13 +33,23 @@ impl<W: Write> MrtFileWriter<W> {
         Ok(())
     }
 
-    /// Encodes one simulator update (see [`crate::MrtWriter::write_update`]).
+    /// Encodes one simulator update as a BGP4MP record.
     pub fn write_update(&mut self, dir: &VpDirectory, u: &BgpUpdate) -> io::Result<()> {
-        let mut w = crate::stream::MrtWriter::new();
-        w.write_update(dir, u);
-        self.inner.write_all(&w.into_bytes())?;
-        self.records += 1;
-        Ok(())
+        let (peer_ip, peer_as) = dir.peer_of(u.vp);
+        let msg = match &u.elem {
+            BgpElem::Announce { path, communities } => {
+                BgpMessage::announce(vec![u.prefix], path.clone(), peer_ip, communities.clone())
+            }
+            BgpElem::Withdraw => BgpMessage::withdraw(vec![u.prefix]),
+        };
+        self.write_record(&MrtRecord::Bgp4mp {
+            time: u.time.as_secs() as u32,
+            peer_as,
+            local_as: Asn(64_512),
+            peer_ip,
+            local_ip: Ipv4::new(172, 16, 255, 254),
+            msg,
+        })
     }
 
     /// Records written so far.
@@ -95,11 +106,18 @@ impl<R: Read> MrtFileReader<R> {
             }
             Err(e) => return Err(StreamError::Io(e)),
         }
-        let len = u32::from_be_bytes([header[8], header[9], header[10], header[11]]) as usize;
+        let len = u32::from_be_bytes([header[8], header[9], header[10], header[11]]);
         self.scratch.clear();
         self.scratch.extend_from_slice(&header);
-        self.scratch.resize(12 + len, 0);
-        self.inner.read_exact(&mut self.scratch[12..]).map_err(StreamError::Io)?;
+        // The length is the wire's claim: grow by the bytes that arrive,
+        // never by the number declared.
+        let got = (&mut self.inner)
+            .take(u64::from(len))
+            .read_to_end(&mut self.scratch)
+            .map_err(StreamError::Io)?;
+        if got < len as usize {
+            return Err(StreamError::Io(io::ErrorKind::UnexpectedEof.into()));
+        }
         let mut slice = &self.scratch[..];
         MrtRecord::parse(&mut slice).map(Some).map_err(StreamError::Parse)
     }
@@ -243,7 +261,7 @@ impl<R: Read> Iterator for UpdateStream<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrr_types::{AsPath, Asn, BgpElem, VpId};
+    use rrr_types::{AsPath, VpId};
 
     fn dir() -> VpDirectory {
         let mut d = VpDirectory::default();
@@ -361,6 +379,20 @@ mod tests {
         let mut s = UpdateStream::new(cut, dir(), StreamFilter::default());
         assert!(s.next().is_none());
         assert!(s.finished_with.is_some());
+    }
+
+    #[test]
+    fn oversized_length_claim_allocates_only_what_arrives() {
+        let mut bytes = vec![0u8; 8];
+        bytes.extend_from_slice(&u32::MAX.to_be_bytes());
+        bytes.extend_from_slice(&[1, 2, 3]);
+        let mut r = MrtFileReader::new(&bytes[..]);
+        match r.next_record() {
+            Err(StreamError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected an UnexpectedEof io error, got {other:?}"),
+        }
+        assert_eq!(r.scratch.len(), bytes.len());
+        assert!(r.scratch.capacity() <= 4096, "capacity {}", r.scratch.capacity());
     }
 
     #[test]

@@ -21,5 +21,5 @@ pub mod wire;
 pub use bgp::{BgpMessage, PathAttributes};
 pub use bgpstream::{MrtFileReader, MrtFileWriter, StreamError, StreamFilter, UpdateStream};
 pub use mrt::{MrtRecord, RibEntry};
-pub use stream::{record_to_updates, MrtReader, MrtWriter, VpDirectory};
+pub use stream::{record_to_updates, VpDirectory};
 pub use wire::{Error, Result};

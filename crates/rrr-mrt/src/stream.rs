@@ -1,9 +1,8 @@
-//! Streaming MRT dump files and the bridge between the simulator's
-//! [`BgpUpdate`] records and wire-format MRT — a BGPStream-reader analogue.
+//! The bridge between the simulator's [`BgpUpdate`] records and
+//! wire-format MRT: the collector peer table and the BGP4MP → update
+//! decode. The record reader/writer pair lives in [`crate::bgpstream`].
 
-use crate::bgp::BgpMessage;
 use crate::mrt::MrtRecord;
-use crate::wire::Result;
 use rrr_types::{BgpElem, BgpUpdate, Ipv4, Timestamp, VpId};
 use std::collections::{BTreeMap, HashMap};
 
@@ -54,90 +53,6 @@ impl VpDirectory {
     }
 }
 
-/// Writes MRT records into an in-memory dump.
-#[derive(Debug, Default)]
-pub struct MrtWriter {
-    buf: Vec<u8>,
-}
-
-impl MrtWriter {
-    pub fn new() -> Self {
-        MrtWriter::default()
-    }
-
-    pub fn write_record(&mut self, r: &MrtRecord) {
-        r.encode(&mut self.buf);
-    }
-
-    /// Encodes one simulator update as a BGP4MP record.
-    pub fn write_update(&mut self, dir: &VpDirectory, u: &BgpUpdate) {
-        let (peer_ip, peer_as) = dir.peer_of(u.vp);
-        let msg = match &u.elem {
-            BgpElem::Announce { path, communities } => {
-                BgpMessage::announce(vec![u.prefix], path.clone(), peer_ip, communities.clone())
-            }
-            BgpElem::Withdraw => BgpMessage::withdraw(vec![u.prefix]),
-        };
-        self.write_record(&MrtRecord::Bgp4mp {
-            time: u.time.as_secs() as u32,
-            peer_as,
-            local_as: rrr_types::Asn(64_512),
-            peer_ip,
-            local_ip: Ipv4::new(172, 16, 255, 254),
-            msg,
-        });
-    }
-
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-/// Iterates records out of an MRT dump.
-pub struct MrtReader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> MrtReader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        MrtReader { buf }
-    }
-
-    /// Remaining unread bytes.
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-}
-
-impl Iterator for MrtReader<'_> {
-    type Item = Result<MrtRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.buf.is_empty() {
-            return None;
-        }
-        let mut rd = self.buf;
-        match MrtRecord::parse(&mut rd) {
-            Ok(r) => {
-                self.buf = rd;
-                Some(Ok(r))
-            }
-            Err(e) => {
-                self.buf = &[]; // stop on error
-                Some(Err(e))
-            }
-        }
-    }
-}
-
 /// Decodes a BGP4MP record back to simulator updates (one per NLRI /
 /// withdrawn prefix), resolving the peer via the directory. Non-update
 /// records yield an empty vec.
@@ -174,6 +89,7 @@ pub fn record_to_updates(dir: &VpDirectory, r: &MrtRecord) -> Vec<BgpUpdate> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bgpstream::{MrtFileReader, MrtFileWriter};
     use rrr_types::{AsPath, Asn, Community};
 
     fn directory(n: u32) -> VpDirectory {
@@ -210,16 +126,16 @@ mod tests {
     fn full_pipeline_roundtrip() {
         let dir = directory(4);
         let updates = sample_updates(&dir);
-        let mut w = MrtWriter::new();
-        w.write_record(&dir.peer_index_record());
+        let mut w = MrtFileWriter::new(Vec::new());
+        w.write_record(&dir.peer_index_record()).expect("in-memory write");
         for u in &updates {
-            w.write_update(&dir, u);
+            w.write_update(&dir, u).expect("in-memory write");
         }
-        let bytes = w.into_bytes();
+        let bytes = w.finish().expect("flush");
 
         let mut got = Vec::new();
         let mut peer_tables = 0;
-        for rec in MrtReader::new(&bytes) {
+        for rec in MrtFileReader::new(&bytes[..]) {
             let rec = rec.expect("valid stream");
             if matches!(rec, MrtRecord::PeerIndexTable { .. }) {
                 peer_tables += 1;
@@ -261,11 +177,11 @@ mod tests {
     #[test]
     fn reader_stops_on_garbage() {
         let dir = directory(1);
-        let mut w = MrtWriter::new();
-        w.write_update(&dir, &sample_updates(&dir)[0]);
-        let mut bytes = w.into_bytes();
+        let mut w = MrtFileWriter::new(Vec::new());
+        w.write_update(&dir, &sample_updates(&dir)[0]).expect("in-memory write");
+        let mut bytes = w.finish().expect("flush");
         bytes.extend_from_slice(&[1, 2, 3]); // trailing garbage
-        let results: Vec<_> = MrtReader::new(&bytes).collect();
+        let results: Vec<_> = MrtFileReader::new(&bytes[..]).collect();
         assert_eq!(results.len(), 2);
         assert!(results[0].is_ok());
         assert!(results[1].is_err());
@@ -276,10 +192,10 @@ mod tests {
         let dir = directory(1);
         let other = directory(2);
         let u = &sample_updates(&other)[1]; // vp 1, not in dir
-        let mut w = MrtWriter::new();
-        w.write_update(&other, u);
-        let bytes = w.into_bytes();
-        let rec = MrtReader::new(&bytes).next().expect("one record").expect("valid");
+        let mut w = MrtFileWriter::new(Vec::new());
+        w.write_update(&other, u).expect("in-memory write");
+        let bytes = w.finish().expect("flush");
+        let rec = MrtFileReader::new(&bytes[..]).next().expect("one record").expect("valid");
         assert!(record_to_updates(&dir, &rec).is_empty());
     }
 }

@@ -14,7 +14,7 @@ use rrr_baselines::{run_emulation, Dtrack, EmuWorld, PathTimeline, RoundRobin};
 use rrr_bench::weather::WeatherScale;
 use rrr_core::partition::{canonical_bytes_single, PartitionMap, PartitionedDetector};
 use rrr_core::{DurableConfig, DurableDetector, Query, StalenessDetector, StalenessSignal};
-use rrr_mrt::{record_to_updates, MrtReader, MrtWriter, VpDirectory};
+use rrr_mrt::{record_to_updates, MrtFileReader, MrtFileWriter, VpDirectory};
 use rrr_serve::{
     replay_reference, split_rounds, Daemon, DaemonConfig, Engine, FeedBatch, FeedSource,
     ScriptedFeed,
@@ -858,14 +858,14 @@ fn oracle_mrt_round_trip(world: &SimWorld, steps: &[RoundInput]) -> Result<(), S
         dir.register(vp, asn);
     }
     let all: Vec<BgpUpdate> = steps.iter().flat_map(|ri| ri.updates.iter().cloned()).collect();
-    let mut w = MrtWriter::new();
-    w.write_record(&dir.peer_index_record());
+    let mut w = MrtFileWriter::new(Vec::new());
+    w.write_record(&dir.peer_index_record()).expect("write to memory");
     for u in &all {
-        w.write_update(&dir, u);
+        w.write_update(&dir, u).expect("write to memory");
     }
-    let bytes = w.into_bytes();
+    let bytes = w.finish().expect("write to memory");
     let mut got = Vec::new();
-    for rec in MrtReader::new(&bytes) {
+    for rec in MrtFileReader::new(&bytes[..]) {
         let rec = rec.map_err(|e| format!("MRT decode error: {e:?}"))?;
         got.extend(record_to_updates(&dir, &rec));
     }

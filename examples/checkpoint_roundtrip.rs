@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example checkpoint_roundtrip`
 
-use rrr::mrt::{MrtWriter, StreamFilter, UpdateStream, VpDirectory};
+use rrr::mrt::{MrtFileWriter, StreamFilter, UpdateStream, VpDirectory};
 use rrr::prelude::*;
 use rrr::store::StoreError;
 use std::sync::Arc;
@@ -50,17 +50,17 @@ fn main() -> Result<(), StoreError> {
     for vp in engine.vps() {
         dir.register(vp.id, topo.asn_of(vp.asx));
     }
-    let mut writer = MrtWriter::new();
-    writer.write_record(&dir.peer_index_record());
+    let mut writer = MrtFileWriter::new(Vec::new());
+    writer.write_record(&dir.peer_index_record()).expect("write to memory");
     let rib = engine.rib_snapshot();
     for u in &rib {
-        writer.write_update(&dir, u);
+        writer.write_update(&dir, u).expect("write to memory");
     }
     let live = engine.advance_to(Timestamp(ROUNDS * ROUND));
     for u in &live {
-        writer.write_update(&dir, u);
+        writer.write_update(&dir, u).expect("write to memory");
     }
-    let dump = writer.into_bytes();
+    let dump = writer.finish().expect("write to memory");
 
     let mut stream = UpdateStream::new(&dump[..], dir, StreamFilter::default());
     let mut decoded = Vec::new();

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example mrt_pipeline`
 
-use rrr::mrt::{MrtWriter, StreamFilter, UpdateStream, VpDirectory};
+use rrr::mrt::{MrtFileWriter, StreamFilter, UpdateStream, VpDirectory};
 use rrr::prelude::*;
 use std::sync::Arc;
 
@@ -22,17 +22,17 @@ fn main() {
     for vp in engine.vps() {
         dir.register(vp.id, topo.asn_of(vp.asx));
     }
-    let mut writer = MrtWriter::new();
-    writer.write_record(&dir.peer_index_record());
+    let mut writer = MrtFileWriter::new(Vec::new());
+    writer.write_record(&dir.peer_index_record()).expect("write to memory");
     let rib = engine.rib_snapshot();
     for u in &rib {
-        writer.write_update(&dir, u);
+        writer.write_update(&dir, u).expect("write to memory");
     }
     let live = engine.advance_to(Timestamp(Duration::days(1).as_secs()));
     for u in &live {
-        writer.write_update(&dir, u);
+        writer.write_update(&dir, u).expect("write to memory");
     }
-    let dump = writer.into_bytes();
+    let dump = writer.finish().expect("write to memory");
     println!(
         "MRT dump: {} bytes ({} RIB entries + {} updates from {} peers)",
         dump.len(),

@@ -101,7 +101,7 @@ proptest! {
     /// The MRT round-trip is lossless for any simulated update stream.
     #[test]
     fn any_seed_mrt_roundtrip(seed in 0u64..500) {
-        use rrr::mrt::{record_to_updates, MrtReader, MrtWriter, VpDirectory};
+        use rrr::mrt::{record_to_updates, MrtFileReader, MrtFileWriter, VpDirectory};
         let topo = Arc::new(generate(&TopologyConfig::small(seed)));
         let events = rrr::bgp::generate_events(
             &topo,
@@ -117,13 +117,13 @@ proptest! {
             dir.register(vp.id, topo.asn_of(vp.asx));
         }
         let updates = engine.advance_to(Timestamp(Duration::hours(12).as_secs()));
-        let mut w = MrtWriter::new();
+        let mut w = MrtFileWriter::new(Vec::new());
         for u in &updates {
-            w.write_update(&dir, u);
+            w.write_update(&dir, u).expect("write to memory");
         }
-        let bytes = w.into_bytes();
+        let bytes = w.finish().expect("write to memory");
         let mut decoded = Vec::new();
-        for rec in MrtReader::new(&bytes) {
+        for rec in MrtFileReader::new(&bytes[..]) {
             decoded.extend(record_to_updates(&dir, &rec.expect("well-formed")));
         }
         prop_assert_eq!(decoded, updates);
