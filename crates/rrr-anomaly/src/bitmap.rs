@@ -95,36 +95,51 @@ fn sax_breakpoints(alphabet: usize) -> &'static [f64] {
     }
 }
 
+/// Scratch bounds for scoring without the heap: a lag+lead tail of at most
+/// this many values and a bitmap of at most this many cells live in stack
+/// arrays; a larger configuration scores through the same code over `Vec`s.
+/// Both presets fit (20 and 17 values, 16 and 4 cells).
+const STACK_TAIL: usize = 64;
+const STACK_CELLS: usize = 64;
+
 impl BitmapDetector {
     /// SAX-discretizes a series: z-normalize then bucket by breakpoints.
     /// A constant series maps entirely to symbol 0.
     pub fn discretize(&self, series: &[f64]) -> Vec<u8> {
+        let mut symbols = vec![0u8; series.len()];
+        self.discretize_into(series, &mut symbols);
+        symbols
+    }
+
+    /// [`Self::discretize`] into a caller-provided buffer of the same length.
+    fn discretize_into(&self, series: &[f64], symbols: &mut [u8]) {
         let n = series.len();
         if n == 0 {
-            return Vec::new();
+            return;
         }
         let mean = series.iter().sum::<f64>() / n as f64;
         let var = series.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         let std = var.sqrt();
         let bps = sax_breakpoints(self.alphabet);
-        series
-            .iter()
-            .map(|&x| {
-                if std < 1e-12 {
-                    return 0u8;
-                }
+        for (&x, s) in series.iter().zip(symbols) {
+            *s = if std < 1e-12 {
+                0
+            } else {
                 let z = (x - mean) / std;
                 bps.iter().take_while(|&&b| z > b).count() as u8
-            })
-            .collect()
+            };
+        }
     }
 
-    /// Frequency bitmap of all length-`word_len` subwords, L1-normalized.
-    fn bitmap(&self, symbols: &[u8]) -> Vec<f64> {
-        let cells = self.alphabet.pow(self.word_len as u32);
-        let mut counts = vec![0.0f64; cells];
+    fn cells(&self) -> usize {
+        self.alphabet.pow(self.word_len as u32)
+    }
+
+    /// Frequency bitmap of all length-`word_len` subwords, L1-normalized,
+    /// into `counts` (zeroed, one slot per cell).
+    fn bitmap_into(&self, symbols: &[u8], counts: &mut [f64]) {
         if symbols.len() < self.word_len {
-            return counts;
+            return;
         }
         for w in symbols.windows(self.word_len) {
             let mut idx = 0usize;
@@ -139,7 +154,6 @@ impl BitmapDetector {
                 *c /= total;
             }
         }
-        counts
     }
 
     /// The anomaly score of the newest `lead` values of `series` against
@@ -149,38 +163,86 @@ impl BitmapDetector {
         if series.len() < need {
             return None;
         }
-        let tail = &series[series.len() - need..];
-        // Discretize lag+lead jointly so both windows share breakpoints.
-        let symbols = self.discretize(tail);
-        let (lag_syms, lead_syms) = symbols.split_at(self.lag);
-        let a = self.bitmap(lag_syms);
-        let b = self.bitmap(lead_syms);
-        Some(a.iter().zip(&b).map(|(x, y)| (x - y).powi(2)).sum())
+        Some(self.score_tail(&series[series.len() - need..]))
     }
-}
 
-impl BitmapDetector {
-    /// Only the trailing lag+lead values feed [`Self::lead_lag_score`], so
-    /// copy just those instead of the whole (up to 256-value) history.
-    fn tail_with(&self, history: &[f64], candidate: f64) -> Vec<f64> {
-        let keep = history.len().min((self.lag + self.lead).saturating_sub(1));
-        let mut series = Vec::with_capacity(keep + 1);
-        series.extend_from_slice(&history[history.len() - keep..]);
-        series.push(candidate);
-        series
+    /// Score of exactly `lag + lead` values, scratch on the stack when the
+    /// configuration fits.
+    fn score_tail(&self, tail: &[f64]) -> f64 {
+        let cells = self.cells();
+        if tail.len() <= STACK_TAIL && cells <= STACK_CELLS {
+            self.score_in(
+                tail,
+                &mut [0u8; STACK_TAIL][..tail.len()],
+                &mut [0.0; STACK_CELLS][..cells],
+                &mut [0.0; STACK_CELLS][..cells],
+            )
+        } else {
+            self.score_in(
+                tail,
+                &mut vec![0u8; tail.len()],
+                &mut vec![0.0; cells],
+                &mut vec![0.0; cells],
+            )
+        }
+    }
+
+    fn score_in(&self, tail: &[f64], symbols: &mut [u8], a: &mut [f64], b: &mut [f64]) -> f64 {
+        // Discretize lag+lead jointly so both windows share breakpoints.
+        self.discretize_into(tail, symbols);
+        let (lag_syms, lead_syms) = symbols.split_at(self.lag);
+        self.bitmap_into(lag_syms, a);
+        self.bitmap_into(lead_syms, b);
+        a.iter().zip(b.iter()).map(|(x, y)| (x - y).powi(2)).sum()
+    }
+
+    /// The score of `candidate` behind the newest `lag + lead - 1` values
+    /// of `history`; `None` when the history is too short. Only that tail
+    /// feeds the score, so only it is copied (next to the candidate, into a
+    /// stack buffer when it fits) — not the up-to-256-value history.
+    fn candidate_score(&self, history: &[f64], candidate: f64) -> Option<f64> {
+        let need = self.lag + self.lead;
+        let keep = need.saturating_sub(1);
+        if history.len() < keep {
+            return None;
+        }
+        let recent = &history[history.len() - keep..];
+        // A tail of one repeated bit pattern — a quiet counter, a pinned
+        // ratio: most series, most windows — discretizes to one repeated
+        // symbol, so the two bitmaps coincide and the score is exactly 0.0;
+        // unless only one of the windows is long enough to hold a word, and
+        // the other's bitmap stays empty.
+        if (self.lag >= self.word_len) == (self.lead >= self.word_len)
+            && recent.iter().all(|x| x.to_bits() == candidate.to_bits())
+        {
+            return Some(0.0);
+        }
+        // (`lag + lead == 0` left through that exit, so `keep == need - 1`.)
+        if need <= STACK_TAIL {
+            let mut buf = [0.0f64; STACK_TAIL];
+            buf[..keep].copy_from_slice(recent);
+            buf[keep] = candidate;
+            Some(self.score_tail(&buf[..need]))
+        } else {
+            let mut buf = Vec::with_capacity(need);
+            buf.extend_from_slice(recent);
+            buf.push(candidate);
+            Some(self.score_tail(&buf))
+        }
     }
 }
 
 impl OutlierDetector for BitmapDetector {
     fn is_outlier(&self, history: &[f64], candidate: f64) -> bool {
-        match self.lead_lag_score(&self.tail_with(history, candidate)) {
-            Some(s) => s > self.threshold,
-            None => false,
-        }
+        self.outlier_score(history, candidate).is_some()
     }
 
     fn score(&self, history: &[f64], candidate: f64) -> f64 {
-        self.lead_lag_score(&self.tail_with(history, candidate)).unwrap_or(0.0)
+        self.candidate_score(history, candidate).unwrap_or(0.0)
+    }
+
+    fn outlier_score(&self, history: &[f64], candidate: f64) -> Option<f64> {
+        self.candidate_score(history, candidate).filter(|s| *s > self.threshold)
     }
 }
 
@@ -272,7 +334,8 @@ mod tests {
     fn bitmap_cells_and_normalization() {
         let d = detector();
         let syms = vec![0u8, 1, 2, 3, 0, 1, 2, 3];
-        let bm = d.bitmap(&syms);
+        let mut bm = vec![0.0; d.cells()];
+        d.bitmap_into(&syms, &mut bm);
         assert_eq!(bm.len(), 16);
         let sum: f64 = bm.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -298,10 +361,164 @@ impl BitmapDetector {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::OutlierDetector;
+    use crate::{MonitoredSeries, OutlierDetector};
     use proptest::prelude::*;
 
+    /// The scorer as it stood before the stack buffers and the constant-run
+    /// exit: every intermediate in its own `Vec`. The oracle the new path
+    /// must match bit for bit.
+    fn reference_score(d: &BitmapDetector, series: &[f64]) -> Option<f64> {
+        fn bitmap(d: &BitmapDetector, symbols: &[u8]) -> Vec<f64> {
+            let mut counts = vec![0.0f64; d.alphabet.pow(d.word_len as u32)];
+            if symbols.len() < d.word_len {
+                return counts;
+            }
+            for w in symbols.windows(d.word_len) {
+                let idx = w.iter().fold(0usize, |idx, &s| idx * d.alphabet + s as usize);
+                counts[idx] += 1.0;
+            }
+            let total: f64 = counts.iter().sum();
+            if total > 0.0 {
+                counts.iter_mut().for_each(|c| *c /= total);
+            }
+            counts
+        }
+        let need = d.lag + d.lead;
+        if series.len() < need {
+            return None;
+        }
+        let tail = &series[series.len() - need..];
+        let n = tail.len() as f64;
+        let mean = tail.iter().sum::<f64>() / n;
+        let std = (tail.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n).sqrt();
+        let bps = sax_breakpoints(d.alphabet);
+        let symbols: Vec<u8> = tail
+            .iter()
+            .map(|&x| {
+                if std < 1e-12 {
+                    return 0u8;
+                }
+                let z = (x - mean) / std;
+                bps.iter().take_while(|&&b| z > b).count() as u8
+            })
+            .collect();
+        let (lag_syms, lead_syms) = symbols.split_at(d.lag);
+        let (a, b) = (bitmap(d, lag_syms), bitmap(d, lead_syms));
+        Some(a.iter().zip(&b).map(|(x, y)| (x - y).powi(2)).sum())
+    }
+
+    /// `is_outlier` then `score`, as `MonitoredSeries::push` used to ask:
+    /// hides the detector's own `outlier_score` behind the trait default.
+    struct TwoCalls(BitmapDetector);
+
+    impl OutlierDetector for TwoCalls {
+        fn is_outlier(&self, history: &[f64], candidate: f64) -> bool {
+            reference_score(&self.0, &[history, &[candidate]].concat())
+                .is_some_and(|s| s > self.0.threshold)
+        }
+        fn score(&self, history: &[f64], candidate: f64) -> f64 {
+            reference_score(&self.0, &[history, &[candidate]].concat()).unwrap_or(0.0)
+        }
+    }
+
+    /// Default, spike, one past the stack bounds on both counts (216 cells,
+    /// 70-value tail), and one whose lead cannot hold a word — the case the
+    /// constant-run exit has to leave alone.
+    fn configurations() -> [BitmapDetector; 4] {
+        [
+            BitmapDetector::default(),
+            BitmapDetector::spike(),
+            BitmapDetector { alphabet: 6, word_len: 3, lag: 60, lead: 10, threshold: 0.5 },
+            BitmapDetector { alphabet: 3, word_len: 2, lag: 8, lead: 1, threshold: 0.5 },
+        ]
+    }
+
+    /// Random, constant-tail, two-level and single-spike shapes, chosen by
+    /// `shape`, over the same noise.
+    fn shaped(shape: u8, noise: &[f64], level: f64) -> Vec<f64> {
+        let n = noise.len();
+        noise
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| match shape % 4 {
+                0 => x,
+                1 if i >= n / 3 => level,
+                1 => x,
+                2 => {
+                    if x > 0.0 {
+                        level
+                    } else {
+                        -level
+                    }
+                }
+                _ if i == n - 1 - (level.abs() as usize % 3) => level * 50.0,
+                _ => (level * 4.0).round() / 4.0,
+            })
+            .collect()
+    }
+
     proptest! {
+        /// Every prefix of every shape scores to the same bits as the
+        /// all-`Vec` reference, in every configuration.
+        #[test]
+        fn scoring_is_bit_identical_to_the_reference(
+            noise in proptest::collection::vec(-10.0f64..10.0, 1..120),
+            level in -12.0f64..12.0,
+            shape in 0u8..4,
+        ) {
+            let series = shaped(shape, &noise, level);
+            for d in configurations() {
+                for end in 0..=series.len() {
+                    let got = d.lead_lag_score(&series[..end]).map(f64::to_bits);
+                    let want = reference_score(&d, &series[..end]).map(f64::to_bits);
+                    prop_assert_eq!(got, want, "{:?} at {}", d, end);
+                }
+                // The history/candidate entry points agree with it too.
+                let (candidate, history) = series.split_last().expect("non-empty");
+                let want = reference_score(&d, &series);
+                prop_assert_eq!(
+                    d.score(history, *candidate).to_bits(),
+                    want.unwrap_or(0.0).to_bits()
+                );
+                prop_assert_eq!(
+                    d.outlier_score(history, *candidate).map(f64::to_bits),
+                    want.filter(|s| *s > d.threshold).map(f64::to_bits)
+                );
+                prop_assert_eq!(d.is_outlier(history, *candidate), want.is_some_and(|s| s > d.threshold));
+            }
+        }
+
+        /// `push` through the one-computation `outlier_score` yields the
+        /// verdicts, scores and history of the `is_outlier`-then-`score`
+        /// form, gaps and absorbed outliers included.
+        #[test]
+        fn push_matches_the_two_call_form(
+            noise in proptest::collection::vec(-10.0f64..10.0, 30..160),
+            level in -12.0f64..12.0,
+            shape in 0u8..4,
+            absorb in 0u8..2,
+        ) {
+            let series = shaped(shape, &noise, level);
+            for d in configurations() {
+                let mut one = MonitoredSeries::default().with_absorb_outliers(absorb == 1);
+                let mut two = one.clone();
+                for (i, &v) in series.iter().enumerate() {
+                    // A gap now and then, not so often that nothing warms up.
+                    let v = (i % 41 != 40).then_some(v);
+                    let (a, b) = (one.push(v, &d), two.push(v, &TwoCalls(d)));
+                    match (a, b) {
+                        (
+                            crate::SeriesVerdict::Outlier { score: x },
+                            crate::SeriesVerdict::Outlier { score: y },
+                        ) => prop_assert_eq!(x.to_bits(), y.to_bits()),
+                        _ => prop_assert_eq!(a, b),
+                    }
+                }
+                let bits = |s: &MonitoredSeries| s.history().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&one), bits(&two));
+            }
+        }
+
         /// Scores are finite and bounded by 2 (squared distance of two
         /// L1-normalized vectors), for arbitrary finite series.
         #[test]

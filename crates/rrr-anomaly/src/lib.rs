@@ -32,4 +32,12 @@ pub trait OutlierDetector {
     fn score(&self, _history: &[f64], _candidate: f64) -> f64 {
         0.0
     }
+
+    /// Verdict and score together: `Some(score)` exactly when
+    /// [`Self::is_outlier`] holds. [`MonitoredSeries::push`] asks this once
+    /// per value; a detector whose verdict is a threshold on its score
+    /// overrides it to compute the score once.
+    fn outlier_score(&self, history: &[f64], candidate: f64) -> Option<f64> {
+        self.is_outlier(history, candidate).then(|| self.score(history, candidate))
+    }
 }

@@ -105,8 +105,7 @@ impl MonitoredSeries {
             return SeriesVerdict::NotReady;
         }
 
-        if det.is_outlier(&self.history, v) {
-            let score = det.score(&self.history, v);
+        if let Some(score) = det.outlier_score(&self.history, v) {
             if self.absorb_outliers {
                 self.history.push(v);
                 self.trim();

@@ -30,8 +30,8 @@ use crate::signal::{KeyInterner, SignalKey, SignalScope, StalenessSignal, Techni
 use rrr_anomaly::{BitmapDetector, MonitoredSeries, SeriesVerdict};
 use rrr_store::{Decoder, Encoder, Persist, StoreError};
 use rrr_types::{
-    community, Arena, ArenaId, AsPath, Asn, BgpElem, BgpUpdate, Community, Prefix, Timestamp,
-    TracerouteId, VpId, Window,
+    community, Arena, ArenaId, AsPath, Asn, BgpElem, BgpUpdate, Community, FastMap, FastSet,
+    Prefix, Timestamp, TracerouteId, VpId, Window,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -53,6 +53,19 @@ const NUM_SHARDS: usize = 32;
 /// Batches smaller than this are fed serially even when workers are
 /// configured: thread spawn overhead would dominate.
 const MIN_PAR_UPDATES: usize = 256;
+
+/// Closes with fewer awake groups than this run serially even when workers
+/// are configured. Forking and joining two idle scoped workers takes 25 µs
+/// at the median on the 2-thread recording host (2 ms at p99 once the feed
+/// and query threads hold both cores, which is when a daemon closes
+/// windows), and a group closes in 2–6 µs, so a few dozen groups would pay
+/// for the fork alone — but the workers then wait for the same two cores.
+/// Measured: the sparse inputs wake 58–177 groups a close and ran it slower
+/// threaded (0.26 vs 0.21 ms a close, `.tN` 3.7–4.2 vs `.t1` 2.8–3.0 µs an
+/// item on `replay_sparse_durable`); a dense close wakes every group of the
+/// corpus (384 and up) and is faster threaded (`.tN` 1.3 vs `.t1` 1.5 µs).
+/// The floor sits between the two.
+const MIN_PAR_GROUPS: usize = 256;
 
 /// The shard owning a prefix: a fixed multiplicative hash, deterministic
 /// across runs (unlike `HashMap`'s seeded hasher).
@@ -164,35 +177,105 @@ struct Group {
 /// interned path ids (`None` = withdrawn/absent). Identical consecutive
 /// announcements — the dominant §4.1.4 duplicate load — collapse into one
 /// run, so window memory stays proportional to path *changes*.
-#[derive(Debug, Default, Clone)]
+///
+/// The first run lives inline. Nearly every row of a window is that run
+/// alone — the standing path, re-announced or withdrawn once — and a heap
+/// vector or two per row per window was the largest single cost of feeding
+/// an update.
+#[derive(Debug, Clone)]
 struct WindowSamples {
-    runs: Vec<(Option<PathId>, u32)>,
+    first: (Option<PathId>, u32),
+    /// The runs after `first`.
+    rest: Vec<(Option<PathId>, u32)>,
     /// Number of duplicate announcements.
     duplicates: u32,
-    /// Running observe-time aggregate of `runs`: total samples per
-    /// *distinct* path, in first-seen order. Window close sums §4.1.2
-    /// contributions over this vector — one path evaluation per distinct
-    /// path even when runs alternate (A,B,A,B…). Derived state: rebuilt
-    /// from `runs` on load, never persisted.
+    /// Running observe-time aggregate of the runs: total samples per
+    /// *distinct* path, in first-seen order — kept only once there is more
+    /// than one run (read it through [`WindowSamples::counts`]). Window
+    /// close sums §4.1.2 contributions over it — one path evaluation per
+    /// distinct path even when runs alternate (A,B,A,B…). Derived state:
+    /// rebuilt from the runs on load, never persisted.
     counts: Vec<(Option<PathId>, u32)>,
 }
 
 impl WindowSamples {
     fn starting(path: Option<PathId>) -> Self {
-        WindowSamples { runs: vec![(path, 1)], duplicates: 0, counts: vec![(path, 1)] }
+        WindowSamples { first: (path, 1), rest: Vec::new(), duplicates: 0, counts: Vec::new() }
     }
 
     fn push(&mut self, path: Option<PathId>) {
-        match self.runs.last_mut() {
+        if self.rest.is_empty() {
+            if self.first.0 == path {
+                self.first.1 += 1;
+                return;
+            }
+            self.counts.push(self.first);
+        }
+        match self.rest.last_mut() {
             Some((p, n)) if *p == path => *n += 1,
-            _ => self.runs.push((path, 1)),
+            _ => self.rest.push((path, 1)),
         }
-        // Distinct paths per (vp, prefix, window) are few; a linear scan
-        // beats hashing at this size.
-        match self.counts.iter_mut().find(|(p, _)| *p == path) {
-            Some((_, n)) => *n += 1,
-            None => self.counts.push((path, 1)),
+        Self::tally(&mut self.counts, path, 1);
+    }
+
+    /// Adds `n` samples of `path` to per-distinct-path totals. Distinct
+    /// paths per (vp, prefix, window) are few; a linear scan beats hashing
+    /// at this size.
+    fn tally(counts: &mut Vec<(Option<PathId>, u32)>, path: Option<PathId>, n: u32) {
+        match counts.iter_mut().find(|(p, _)| *p == path) {
+            Some((_, total)) => *total += n,
+            None => counts.push((path, n)),
         }
+    }
+
+    fn runs(&self) -> impl Iterator<Item = &(Option<PathId>, u32)> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    /// Total samples per distinct path, in first-seen order.
+    fn counts(&self) -> &[(Option<PathId>, u32)] {
+        if self.rest.is_empty() {
+            std::slice::from_ref(&self.first)
+        } else {
+            &self.counts
+        }
+    }
+}
+
+/// One prefix's rows of a window, sorted by VP.
+type PrefixRows = Vec<(VpId, WindowSamples)>;
+
+/// One VP's row among a prefix's.
+fn samples_of(rows: &[(VpId, WindowSamples)], vp: VpId) -> Option<&WindowSamples> {
+    rows.binary_search_by_key(&vp, |&(v, _)| v).ok().map(|i| &rows[i].1)
+}
+
+/// One shard's open window, grouped by prefix as the updates land: window
+/// close reads a group's whole prefix at once, so it finds the rows with
+/// one probe and a VP's row among them with a search over a dozen ids, and
+/// the map's keys *are* the prefixes that saw input.
+#[derive(Debug, Default)]
+struct OpenWindow {
+    rows: FastMap<Prefix, PrefixRows>,
+}
+
+impl OpenWindow {
+    /// The row of `(vp, prefix)`, created holding `standing` — the route
+    /// before the update that opens it.
+    fn row(&mut self, vp: VpId, prefix: Prefix, standing: Option<PathId>) -> &mut WindowSamples {
+        let rows = self.rows.entry(prefix).or_default();
+        let at = match rows.binary_search_by_key(&vp, |&(v, _)| v) {
+            Ok(at) => at,
+            Err(at) => {
+                rows.insert(at, (vp, WindowSamples::starting(standing)));
+                at
+            }
+        };
+        &mut rows[at].1
+    }
+
+    fn iter(&self) -> impl Iterator<Item = ((VpId, Prefix), &WindowSamples)> {
+        self.rows.iter().flat_map(|(&p, rows)| rows.iter().map(move |(vp, ws)| ((*vp, p), ws)))
     }
 }
 
@@ -204,9 +287,9 @@ impl WindowSamples {
 #[derive(Debug, Default)]
 struct IngestShard {
     /// RIB mirror partition: interned (path, communities) per (vp, prefix).
-    rib: HashMap<(VpId, Prefix), (PathId, CommsId)>,
+    rib: FastMap<(VpId, Prefix), (PathId, CommsId)>,
     /// Open-window sample partition.
-    window: HashMap<(VpId, Prefix), WindowSamples>,
+    window: OpenWindow,
     /// Arena for stripped AS paths announced toward this shard's prefixes.
     paths: Arena<AsPath>,
     /// Arena for community sets.
@@ -218,12 +301,18 @@ struct IngestShard {
     strip_scratch: AsPath,
     /// Transient delta-checkpoint tracking: RIB keys written (inserted,
     /// replaced, or removed — possibly as no-ops) since the last full
-    /// snapshot base. Over-approximation is fine.
-    dirty_rib: BTreeSet<(VpId, Prefix)>,
+    /// snapshot base. Over-approximation is fine. Hashed, since every
+    /// update lands here; [`BgpMonitors::store_delta`] sorts it.
+    dirty_rib: FastSet<(VpId, Prefix)>,
     /// Arena lengths at the last full snapshot base; items past these
     /// indices form the delta tails.
     paths_base: usize,
     comms_base: usize,
+    /// Reference switch for the equivalence test: take neither shortcut of
+    /// [`shard_observe`] — strip, intern and write every announcement, and
+    /// run §4.1.3 on every monitored one.
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl IngestShard {
@@ -244,7 +333,7 @@ pub struct BgpMonitors {
     /// Ordered so per-window signal emission is deterministic.
     groups: BTreeMap<GroupKey, Group>,
     /// Groups indexed by destination prefix for update routing.
-    by_prefix: HashMap<Prefix, Vec<GroupKey>>,
+    by_prefix: FastMap<Prefix, Vec<GroupKey>>,
     /// Sharded per-update state: RIB mirror, window samples, intern arenas.
     shards: Vec<IngestShard>,
     /// ASNs to strip from AS paths before any comparison (IXP route
@@ -284,7 +373,7 @@ impl BgpMonitors {
     pub fn new_with(strip_asns: Vec<Asn>, detector: BitmapDetector, absorb_outliers: bool) -> Self {
         BgpMonitors {
             groups: BTreeMap::new(),
-            by_prefix: HashMap::new(),
+            by_prefix: FastMap::default(),
             shards: (0..NUM_SHARDS).map(|_| IngestShard::default()).collect(),
             strip_asns,
             detector,
@@ -646,9 +735,9 @@ impl BgpMonitors {
     pub fn window_snapshot(&self) -> BTreeMap<(VpId, Prefix), (Vec<Option<AsPath>>, u32)> {
         let mut out = BTreeMap::new();
         for shard in &self.shards {
-            for (&k, ws) in &shard.window {
+            for (k, ws) in shard.window.iter() {
                 let mut paths = Vec::new();
-                for &(pid, n) in &ws.runs {
+                for &(pid, n) in ws.runs() {
                     for _ in 0..n {
                         paths.push(pid.map(|p| shard.paths.get(p).clone()));
                     }
@@ -679,44 +768,31 @@ impl BgpMonitors {
         // ordering is the shard's arrival order regardless of how the
         // shard maps iterate. A pending change also marks the group dirty:
         // it must run the full evaluation this close.
+        let closes = self.closes;
         for shard in &mut self.shards {
             for (gk, items) in shard.pending_comm.drain() {
                 if let Some(g) = self.groups.get_mut(&gk) {
                     g.pending_comm.extend(items);
-                    g.dirty_window = true;
+                    mark_dirty(g, closes);
                 }
             }
         }
-        let window_samples: Vec<HashMap<(VpId, Prefix), WindowSamples>> =
-            self.shards.iter_mut().map(|s| std::mem::take(&mut s.window)).collect();
+        let samples: Vec<FastMap<Prefix, PrefixRows>> =
+            self.shards.iter_mut().map(|s| std::mem::take(&mut s.window.rows)).collect();
 
-        // Dirty-set derivation: window entries are created only for
-        // monitored prefixes (both the announce and withdraw branches of
-        // ingestion), so the taken sample keys name exactly the prefixes
-        // whose groups saw input this window. Every other group ran against
-        // a frozen RIB. Cost is proportional to churn, not corpus size.
-        let mut dirty_prefixes: HashSet<Prefix> = HashSet::new();
-        for m in &window_samples {
-            for &(_, p) in m.keys() {
-                dirty_prefixes.insert(p);
-            }
-        }
-        for p in &dirty_prefixes {
-            if let Some(gks) = self.by_prefix.get(p) {
-                for gk in gks {
-                    if let Some(g) = self.groups.get_mut(gk) {
-                        g.dirty_window = true;
-                    }
+        // Dirty-set derivation: window rows are created only for monitored
+        // prefixes (both the announce and withdraw branches of ingestion),
+        // so the taken keys name exactly the prefixes whose groups saw
+        // input this window. Every other group ran against a frozen RIB.
+        // Cost is proportional to churn, not corpus size. A dirty parked
+        // group is unparked on the spot: the quiet closes it skipped are
+        // replayed in closed form, then the normal close path runs on the
+        // fresh samples.
+        for p in samples.iter().flat_map(|m| m.keys()) {
+            for gk in self.by_prefix.get(p).map(Vec::as_slice).unwrap_or(&[]) {
+                if let Some(g) = self.groups.get_mut(gk) {
+                    mark_dirty(g, closes);
                 }
-            }
-        }
-        // Unpark every dirty parked group before evaluation: replay the
-        // quiet closes it skipped in closed form, then let the normal close
-        // path run on the fresh samples.
-        let closes = self.closes;
-        for g in self.groups.values_mut() {
-            if g.dirty_window && g.park.is_some() {
-                unpark_group(g, closes);
             }
         }
 
@@ -725,7 +801,7 @@ impl BgpMonitors {
             time,
             det: self.detector,
             shards: &self.shards,
-            samples: &window_samples,
+            samples: &samples,
             comm_allowed,
             park: self.park_enabled,
             close_seq: closes + 1,
@@ -734,13 +810,14 @@ impl BgpMonitors {
         // Parked groups are skipped outright. Filtering a sorted BTreeMap
         // iteration yields a subsequence of the full-scan evaluation order,
         // and parked groups provably emit nothing, so the concatenated
-        // output stream is unchanged.
+        // output stream is unchanged. (Which quiet groups are still awake
+        // is not something the dirty set knows, so this one scan stays.)
         let mut signals = Vec::new();
         let mut revokes = Vec::new();
         let mut work: Vec<&mut Group> =
             self.groups.values_mut().filter(|g| g.park.is_none()).collect();
-        if self.threads <= 1 || work.len() < 2 {
-            for g in work {
+        if self.threads <= 1 || work.len() < MIN_PAR_GROUPS {
+            for g in work.iter_mut() {
                 close_group(g, &ctx, &mut signals, &mut revokes);
             }
         } else {
@@ -770,14 +847,10 @@ impl BgpMonitors {
         self.closes += 1;
         // Every group evaluated this close — including those that parked at
         // its end — mutated series state; record it for delta checkpoints.
-        let seq = self.closes;
-        for (gk, g) in &self.groups {
-            let evaluated = match &g.park {
-                None => true,
-                Some(p) => p.since == seq,
-            };
-            if evaluated {
-                self.delta_groups.insert(gk.clone());
+        // Between two cuts all but the first close find the key there.
+        for g in &work {
+            if !self.delta_groups.contains(&g.key) {
+                self.delta_groups.insert(g.key.clone());
             }
         }
         (signals, revokes)
@@ -809,10 +882,11 @@ impl BgpMonitors {
         e: &mut Encoder<W>,
     ) -> Result<(), StoreError> {
         for shard in &self.shards {
-            // Final value per dirtied RIB key (`None` = withdrawn). The
-            // dirty set is a BTreeSet, so the op order is deterministic.
-            let ops: RibDeltaOps =
+            // Final value per dirtied RIB key (`None` = withdrawn), in key
+            // order whatever order the dirty set iterates in.
+            let mut ops: RibDeltaOps =
                 shard.dirty_rib.iter().map(|&k| (k, shard.rib.get(&k).copied())).collect();
+            ops.sort_unstable_by_key(|&(k, _)| k);
             ops.store(e)?;
             // Open-window state rides whole: it is churn-proportional by
             // construction (samples exist only where updates landed).
@@ -956,63 +1030,76 @@ impl BgpMonitors {
 fn shard_observe(
     shard: &mut IngestShard,
     groups: &BTreeMap<GroupKey, Group>,
-    by_prefix: &HashMap<Prefix, Vec<GroupKey>>,
+    by_prefix: &FastMap<Prefix, Vec<GroupKey>>,
     strip_asns: &[Asn],
     u: &BgpUpdate,
 ) {
     let gks = by_prefix.get(&u.prefix).map(Vec::as_slice).unwrap_or(&[]);
-    let monitored = !gks.is_empty();
-    let old = shard.rib.get(&(u.vp, u.prefix)).copied();
-
-    match &u.elem {
+    let key = (u.vp, u.prefix);
+    // The standing route is read here and, where it changes, replaced here.
+    // §4.1.3 below looks up only *other* VPs' routes, so it does not see
+    // that this VP's is already written.
+    let (old, new) = match &u.elem {
         BgpElem::Announce { path, communities } => {
-            // Strip once per update into the shard's reusable scratch
-            // buffer; interning clones only the first occurrence of a
-            // distinct path or community set.
-            let mut stripped = std::mem::take(&mut shard.strip_scratch);
-            path.stripped_into(strip_asns, &mut stripped);
-            let pid = shard.paths.intern(&stripped);
-            shard.strip_scratch = stripped; // hand the buffer back
-            let cid = shard.comms.intern(communities);
-
-            if monitored {
-                let entry = shard
-                    .window
-                    .entry((u.vp, u.prefix))
-                    .or_insert_with(|| WindowSamples::starting(old.map(|(p, _)| p)));
-                entry.push(Some(pid));
-                // Duplicate announcement (§4.1.4): same interned path and
-                // community-set ids as the standing route — two integer
-                // comparisons instead of deep vector equality.
-                if old == Some((pid, cid)) {
-                    entry.duplicates += 1;
-                }
-
-                // §4.1.3: community change detection per group.
-                for gk in gks {
-                    detect_comm_change(shard, groups, gk, u.vp, old, pid, cid);
-                }
-            }
-            shard.rib.insert((u.vp, u.prefix), (pid, cid));
-            shard.dirty_rib.insert((u.vp, u.prefix));
+            let old = shard.rib.get(&key).copied();
+            // A re-announcement of the standing route — most of a feed —
+            // is told by comparing against that route: interning an equal
+            // path and community set would hand back the ids it holds.
+            let same = old.filter(|&(pid, cid)| {
+                path.stripped_eq(strip_asns, shard.paths.get(pid))
+                    && communities == shard.comms.get(cid)
+            });
+            #[cfg(test)]
+            let same = same.filter(|_| !shard.reference);
+            let new = same.unwrap_or_else(|| {
+                // Strip once per update into the shard's reusable scratch
+                // buffer; interning clones only the first occurrence of a
+                // distinct path or community set.
+                let mut stripped = std::mem::take(&mut shard.strip_scratch);
+                path.stripped_into(strip_asns, &mut stripped);
+                let pid = shard.paths.intern(&stripped);
+                shard.strip_scratch = stripped; // hand the buffer back
+                let new = (pid, shard.comms.intern(communities));
+                shard.rib.insert(key, new);
+                new
+            });
+            (old, Some(new))
         }
-        BgpElem::Withdraw => {
-            if monitored {
-                let entry = shard
-                    .window
-                    .entry((u.vp, u.prefix))
-                    .or_insert_with(|| WindowSamples::starting(old.map(|(p, _)| p)));
-                entry.push(None);
-            }
-            shard.rib.remove(&(u.vp, u.prefix));
-            shard.dirty_rib.insert((u.vp, u.prefix));
+        BgpElem::Withdraw => (shard.rib.remove(&key), None),
+    };
+    shard.dirty_rib.insert(key);
+    if gks.is_empty() {
+        return;
+    }
+    let entry = shard.window.row(u.vp, u.prefix, old.map(|(p, _)| p));
+    entry.push(new.map(|(p, _)| p));
+    let Some((pid, cid)) = new else { return };
+    // Duplicate announcement (§4.1.4): same interned path and community-set
+    // ids as the standing route — two integer comparisons instead of deep
+    // vector equality.
+    if old == new {
+        entry.duplicates += 1;
+    }
+
+    // §4.1.3: community change detection per group — only when the interned
+    // community set changed. An equal id is an equal set, every per-AS diff
+    // of a set against itself is empty, and `detect_comm_change` returns at
+    // its empty-diff check having written nothing; so does it with no
+    // standing route. Most of a feed is such re-announcements.
+    let comms_changed = old.is_some_and(|(_, old_cid)| old_cid != cid);
+    #[cfg(test)]
+    let comms_changed = comms_changed || shard.reference;
+    if comms_changed {
+        for gk in gks {
+            detect_comm_change(shard, groups, gk, u.vp, old, pid, cid);
         }
     }
 }
 
 /// §4.1.3 edge detection for one update against one group. Reads the
-/// shard's pre-update RIB partition and the group's registration-time
-/// state, and records changes into the shard's pending buffer — the group
+/// other VPs' routes from the shard's RIB partition (this VP's pre-update
+/// route comes in as `old`) and the group's registration-time state, and
+/// records changes into the shard's pending buffer — the group
 /// itself is untouched, keeping ingestion lock-free across shards.
 fn detect_comm_change(
     shard: &mut IngestShard,
@@ -1090,7 +1177,8 @@ struct CloseCtx<'a> {
     time: Timestamp,
     det: BitmapDetector,
     shards: &'a [IngestShard],
-    samples: &'a [HashMap<(VpId, Prefix), WindowSamples>],
+    /// The closing window's rows, per shard and prefix.
+    samples: &'a [FastMap<Prefix, PrefixRows>],
     comm_allowed: &'a (dyn Fn(Community, Prefix) -> bool + Sync),
     /// Whether quiet groups may cache values and park.
     park: bool,
@@ -1103,13 +1191,17 @@ impl CloseCtx<'_> {
         self.shards[shard_of(prefix)].rib_resolved(vp, prefix)
     }
 
-    fn samples(&self, vp: VpId, prefix: Prefix) -> Option<&WindowSamples> {
-        self.samples[shard_of(prefix)].get(&(vp, prefix))
+    /// The closing window's rows for one prefix, sorted by VP.
+    fn rows(&self, prefix: Prefix) -> &[(VpId, WindowSamples)] {
+        self.samples[shard_of(prefix)].get(&prefix).map(Vec::as_slice).unwrap_or(&[])
     }
+}
 
-    fn path(&self, prefix: Prefix, id: PathId) -> &AsPath {
-        self.shards[shard_of(prefix)].paths.get(id)
-    }
+/// Marks a group as having input in the closing window, waking it if it was
+/// parked.
+fn mark_dirty(g: &mut Group, closes: u64) {
+    g.dirty_window = true;
+    unpark_group(g, closes);
 }
 
 /// Replays the quiet closes a parked group skipped: every series advances
@@ -1174,6 +1266,10 @@ fn close_group(
     };
     let dst = g.key.dst_prefix;
     let tau = &g.key.as_path;
+    // This prefix's rows of the closing window, found once. Only a dirty
+    // group can have any.
+    let rows = if dirty { ctx.rows(dst) } else { &[] };
+    let paths = &ctx.shards[shard_of(dst)].paths;
 
     // Quiet close on the incremental path: no samples landed on this
     // prefix, so every §4.1.2 value is a pure function of the frozen RIB.
@@ -1222,13 +1318,13 @@ fn close_group(
                     }
                 };
                 for &vp in &m.vps0 {
-                    match ctx.samples(vp, dst) {
+                    match samples_of(rows, vp) {
                         Some(ws) => {
                             // One evaluation per distinct path, via the
                             // observe-time aggregate.
-                            for &(pid, n) in &ws.counts {
+                            for &(pid, n) in ws.counts() {
                                 if let Some(pid) = pid {
-                                    scan(ctx.path(dst, pid), n);
+                                    scan(paths.get(pid), n);
                                 }
                             }
                         }
@@ -1270,15 +1366,35 @@ fn close_group(
     }
 
     // --- §4.1.4 duplicate bursts ---
+    let sent_dup = |vp: &VpId| samples_of(rows, *vp).is_some_and(|ws| ws.duplicates > 0);
+    // How many of `vps` sent a duplicate this window. The set and the rows
+    // both ascend by VP id, so one pass over each counts the overlap; a
+    // dozen tree-set members each searching the rows, ten monitors a group,
+    // was most of a dense close. With no duplicate on the prefix — every
+    // quiet group, and most groups of a change-only feed — the answer is 0
+    // at the first look.
+    let dup_senders = |vps: &BTreeSet<VpId>| -> f64 {
+        let mut senders =
+            rows.iter().filter(|(_, ws)| ws.duplicates > 0).map(|&(vp, _)| vp).peekable();
+        let mut n = 0u32;
+        for &vp in vps {
+            while senders.next_if(|&s| s < vp).is_some() {}
+            match senders.peek() {
+                None => break,
+                Some(&s) if s == vp => n += 1,
+                Some(_) => {}
+            }
+        }
+        f64::from(n)
+    };
     for b in &mut g.bursts {
-        let dups_of = |vp: VpId| -> u32 { ctx.samples(vp, dst).map(|w| w.duplicates).unwrap_or(0) };
-        let u_val = b.v0.iter().filter(|vp| dups_of(**vp) > 0).count() as f64;
+        let u_val = dup_senders(&b.v0);
         let u_verdict = b.u_series.push(Some(u_val), &ctx.det);
 
         // Advance confounder series regardless, so they stay aligned.
         let mut outlier_confounders: BTreeSet<Asn> = BTreeSet::new();
         for (a_k, w_set) in &b.confounders {
-            let u2 = w_set.iter().filter(|vp| dups_of(**vp) > 0).count() as f64;
+            let u2 = dup_senders(w_set);
             let series = b.u_prime.get_mut(a_k).expect("series registered");
             if series.push(Some(u2), &ctx.det).is_outlier() {
                 outlier_confounders.insert(*a_k);
@@ -1296,7 +1412,7 @@ fn close_group(
             // At least one duplicate-sending member VP must traverse no
             // confounder that is itself bursting (Figure 4).
             let clean_member = b.v0.iter().any(|vp| {
-                dups_of(*vp) > 0
+                sent_dup(vp)
                     && b.member_confounders[vp].iter().all(|a_k| !outlier_confounders.contains(a_k))
             });
             if multi_peer && clean_member {
@@ -1476,24 +1592,51 @@ impl Persist for Group {
     }
 }
 
-// `counts` is a pure function of `runs`; rebuilding it on load keeps the
-// wire format identical to the pre-aggregate encoding.
+// On the wire a row is its runs as one `Vec` and the duplicate count;
+// `counts` is a pure function of the runs and is rebuilt on load.
 impl Persist for WindowSamples {
     fn store<W: std::io::Write>(&self, e: &mut Encoder<W>) -> Result<(), StoreError> {
-        self.runs.store(e)?;
+        e.len(1 + self.rest.len())?;
+        for run in self.runs() {
+            run.store(e)?;
+        }
         self.duplicates.store(e)
     }
     fn load<R: std::io::Read>(d: &mut Decoder<R>) -> Result<Self, StoreError> {
-        let runs: Vec<(Option<PathId>, u32)> = Persist::load(d)?;
+        let mut runs = Vec::<(Option<PathId>, u32)>::load(d)?.into_iter();
+        // A row exists from the update that opened it, standing path first.
+        let first = runs.next().ok_or_else(|| d.corrupt("window row without a run"))?;
+        let rest: Vec<_> = runs.collect();
         let duplicates = Persist::load(d)?;
         let mut counts: Vec<(Option<PathId>, u32)> = Vec::new();
-        for &(p, n) in &runs {
-            match counts.iter_mut().find(|(q, _)| *q == p) {
-                Some((_, c)) => *c += n,
-                None => counts.push((p, n)),
+        if !rest.is_empty() {
+            for &(p, n) in std::iter::once(&first).chain(&rest) {
+                WindowSamples::tally(&mut counts, p, n);
             }
         }
-        Ok(WindowSamples { runs, duplicates, counts })
+        Ok(WindowSamples { first, rest, duplicates, counts })
+    }
+}
+
+// Wire-identical to the `HashMap<(VpId, Prefix), WindowSamples>` the window
+// used to be: rows sorted by that key, whatever the grouping in memory.
+impl Persist for OpenWindow {
+    fn store<W: std::io::Write>(&self, e: &mut Encoder<W>) -> Result<(), StoreError> {
+        let mut rows: Vec<_> = self.iter().collect();
+        rows.sort_unstable_by_key(|&(k, _)| k);
+        e.len(rows.len())?;
+        for (k, ws) in rows {
+            k.store(e)?;
+            ws.store(e)?;
+        }
+        Ok(())
+    }
+    fn load<R: std::io::Read>(d: &mut Decoder<R>) -> Result<Self, StoreError> {
+        let mut window = OpenWindow::default();
+        for ((vp, prefix), ws) in Vec::<((VpId, Prefix), WindowSamples)>::load(d)? {
+            *window.row(vp, prefix, None) = ws;
+        }
+        Ok(window)
     }
 }
 
@@ -1509,7 +1652,7 @@ impl Persist for IngestShard {
         self.pending_comm.store(e)
     }
     fn load<R: std::io::Read>(d: &mut Decoder<R>) -> Result<Self, StoreError> {
-        let rib: HashMap<(VpId, Prefix), (PathId, CommsId)> = Persist::load(d)?;
+        let rib: FastMap<(VpId, Prefix), (PathId, CommsId)> = Persist::load(d)?;
         // Conservative: everything is dirty until the owner establishes a
         // fresh full-snapshot base via `mark_clean`.
         let dirty_rib = rib.keys().copied().collect();
@@ -1523,6 +1666,8 @@ impl Persist for IngestShard {
             dirty_rib,
             paths_base: 0,
             comms_base: 0,
+            #[cfg(test)]
+            reference: false,
         })
     }
 }
@@ -1782,5 +1927,199 @@ mod tests {
             signals.iter().any(|s| s.traceroutes.to_vec() == vec![TracerouteId(2)]),
             "re-attached traceroute must fire without re-warmup: {signals:?}"
         );
+    }
+    /// The route menus the equivalence streams draw from. Paths overlap the
+    /// corpus traceroute [10, 20, 30] at different depths or not at all,
+    /// some only once the stripped route-server AS 777 is gone; community
+    /// sets are empty, on-path (AS 20 / AS 30), off-path, or mixed.
+    const PATHS: &[&[u32]] = &[
+        &[99, 20, 30],
+        &[99, 777, 20, 30],
+        &[98, 20, 30],
+        &[98, 20, 55, 30],
+        &[97, 55, 30],
+        &[96, 10, 20, 30],
+        &[95, 41, 42],
+    ];
+    const COMMS: &[&[(u32, u32)]] = &[
+        &[],
+        &[(20, 50_001)],
+        &[(20, 50_009)],
+        &[(20, 50_001), (30, 7)],
+        &[(99, 7)],
+        &[(20, 50_001), (99, 7)],
+    ];
+
+    /// Two prefixes with monitor groups (one with two traceroutes' worth of
+    /// AS paths) and one nobody monitors, four VPs.
+    fn equivalence_setup(reference: bool) -> BgpMonitors {
+        const PREFIXES: [&str; 3] = ["10.9.0.0/16", "10.8.0.0/16", "10.7.0.0/16"];
+        let mut m = BgpMonitors::new(vec![Asn(777)], BitmapDetector::spike());
+        let mut rib = Vec::new();
+        for (pi, p) in PREFIXES.iter().enumerate() {
+            for vp in 0..4u32 {
+                let route = (vp as usize + pi) % 3;
+                rib.push(announce(vp, p, PATHS[route], COMMS[1 + route % 2], 0));
+            }
+        }
+        m.init_rib(&rib);
+        let vps: Vec<VpId> = (0..4).map(VpId).collect();
+        m.register(TracerouteId(1), pfx(PREFIXES[0]), &asns(TAU), &vps);
+        m.register(TracerouteId(2), pfx(PREFIXES[0]), &asns(&[20, 30]), &vps);
+        m.register(TracerouteId(3), pfx(PREFIXES[1]), &asns(TAU), &vps);
+        for shard in &mut m.shards {
+            shard.reference = reference;
+        }
+        m
+    }
+
+    /// The group-count floor keeps the small worlds of the other suites on
+    /// the serial close, so the threaded one gets a world of its own: more
+    /// awake groups than the floor, every one fed every window, closed at 1
+    /// and at 3 workers with the same signals, revocations and state bytes.
+    #[test]
+    fn threaded_close_above_the_floor_matches_serial() {
+        let groups = MIN_PAR_GROUPS as u32 + 37;
+        let prefix = |g: u32| format!("10.{}.{}.0/24", g / 256, g % 256);
+        let build = |threads: usize| {
+            let mut m = BgpMonitors::new(vec![], BitmapDetector::spike());
+            let mut rib = Vec::new();
+            for g in 0..groups {
+                for vp in 0..3u32 {
+                    rib.push(announce(vp, &prefix(g), &[90 + vp, 20, 30], &[(20, 50_001)], 0));
+                }
+            }
+            m.init_rib(&rib);
+            let vps: Vec<VpId> = (0..3).map(VpId).collect();
+            for g in 0..groups {
+                m.register(TracerouteId(u64::from(g)), pfx(&prefix(g)), &asns(TAU), &vps);
+            }
+            m.set_threads(threads);
+            m
+        };
+        let (mut serial, mut threaded) = (build(1), build(3));
+        let mut emitted = 0;
+        for w in 0..30u64 {
+            for g in 0..groups {
+                // Re-announcements everywhere (so no group parks), and from
+                // window 22 a rotating tenth of the groups shifts path on
+                // two VPs, or sends a burst of duplicates.
+                let hit = w >= 22 && (g + w as u32) % 10 == 3;
+                for vp in 0..3u32 {
+                    let path: &[u32] = if hit && vp < 2 && g % 2 == 0 {
+                        &[90 + vp, 20, 55, 30]
+                    } else {
+                        &[90 + vp, 20, 30]
+                    };
+                    let copies = if hit && g % 2 == 1 { 3 } else { 1 };
+                    for c in 0..copies {
+                        let u = announce(vp, &prefix(g), path, &[(20, 50_001)], w * 900 + c);
+                        serial.observe(&u);
+                        threaded.observe(&u);
+                    }
+                }
+            }
+            let a = serial.close_window(Window(w), Timestamp((w + 1) * 900), &|_, _| true);
+            let b = threaded.close_window(Window(w), Timestamp((w + 1) * 900), &|_, _| true);
+            emitted += a.0.len() + a.1.len();
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "window {w}");
+        }
+        assert!(emitted > 0, "the world must make the close emit something");
+        assert_eq!(
+            rrr_store::to_payload(&serial).expect("encode"),
+            rrr_store::to_payload(&threaded).expect("encode")
+        );
+    }
+
+    mod equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Ingestion with its two shortcuts — a re-announced standing
+            /// route skips strip/intern/write, an unchanged community set
+            /// skips §4.1.3 — leaves every byte of state, and every signal
+            /// of the closes in between, equal to the reference that takes
+            /// neither. Streams are duplicate-heavy with community-only,
+            /// path-only and all-or-nothing changes, withdrawals and
+            /// re-announcements, on monitored and unmonitored prefixes.
+            #[test]
+            fn shortcuts_leave_state_equal_to_the_reference(
+                steps in proptest::collection::vec((0u32..4, 0usize..3, 0u8..10, 0usize..7, 0usize..6), 1..120),
+                close_every in 5usize..40,
+            ) {
+                const PREFIXES: [&str; 3] = ["10.9.0.0/16", "10.8.0.0/16", "10.7.0.0/16"];
+                let mut fast = equivalence_setup(false);
+                let mut reference = equivalence_setup(true);
+                // The test's own view of each session's standing route, to
+                // aim duplicates and single-attribute changes.
+                let mut standing: BTreeMap<(u32, usize), Option<(usize, usize)>> = BTreeMap::new();
+                for pi in 0..3 {
+                    for vp in 0..4u32 {
+                        let route = (vp as usize + pi) % 3;
+                        standing.insert((vp, pi), Some((route, 1 + route % 2)));
+                    }
+                }
+                let mut w = 0u64;
+                for (i, &(vp, pi, kind, path, comms)) in steps.iter().enumerate() {
+                    let t = w * 900 + i as u64;
+                    let slot = standing.get_mut(&(vp, pi)).expect("session");
+                    let next = match (kind, *slot) {
+                        // Half the stream: the standing route again.
+                        (0..=4, Some(route)) => Some(route),
+                        // Community-only, path-only, both.
+                        (5, Some((p, _))) => Some((p, comms)),
+                        (6, Some((_, c))) => Some((path, c)),
+                        // All-or-nothing, with the path kept or changed.
+                        (7, Some((p, c))) => Some((if path % 2 == 0 { p } else { path }, if c == 0 { comms } else { 0 })),
+                        (8, _) => None,
+                        _ => Some((path, comms)),
+                    };
+                    let u = match next {
+                        Some((p, c)) => announce(vp, PREFIXES[pi], PATHS[p], COMMS[c], t),
+                        None => BgpUpdate {
+                            time: Timestamp(t),
+                            vp: VpId(vp),
+                            prefix: pfx(PREFIXES[pi]),
+                            elem: BgpElem::Withdraw,
+                        },
+                    };
+                    *slot = next;
+                    fast.observe(&u);
+                    reference.observe(&u);
+                    if (i + 1) % close_every == 0 {
+                        let a = fast.close_window(Window(w), Timestamp((w + 1) * 900), &|_, _| true);
+                        let b = reference.close_window(Window(w), Timestamp((w + 1) * 900), &|_, _| true);
+                        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+                        w += 1;
+                    }
+                }
+                prop_assert_eq!(fast.rib_snapshot(), reference.rib_snapshot());
+                prop_assert_eq!(fast.window_snapshot(), reference.window_snapshot());
+                for (a, b) in fast.shards.iter().zip(&reference.shards) {
+                    prop_assert_eq!(&a.pending_comm, &b.pending_comm);
+                    // Arena contents in id order: a shortcut that skipped
+                    // an intern the reference made would shift every id
+                    // after it.
+                    prop_assert_eq!(a.paths.iter().collect::<Vec<_>>(), b.paths.iter().collect::<Vec<_>>());
+                    prop_assert_eq!(a.comms.iter().collect::<Vec<_>>(), b.comms.iter().collect::<Vec<_>>());
+                    let dirty = |s: &IngestShard| s.dirty_rib.iter().copied().collect::<BTreeSet<_>>();
+                    prop_assert_eq!(dirty(a), dirty(b));
+                }
+                // And all of it at once, as a checkpoint and as a delta.
+                prop_assert_eq!(
+                    rrr_store::to_payload(&fast).expect("encode"),
+                    rrr_store::to_payload(&reference).expect("encode")
+                );
+                let delta = |m: &BgpMonitors| {
+                    let mut bytes = Vec::new();
+                    m.store_delta(&mut Encoder::new(&mut bytes)).expect("encode delta");
+                    bytes
+                };
+                prop_assert_eq!(delta(&fast), delta(&reference));
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@ use rrr_ip2as::{
 };
 use rrr_store::{Decoder, Encoder, Persist, StoreError};
 use rrr_topology::Topology;
-use rrr_types::{Asn, CityId, Ipv4, Timestamp, Traceroute, TracerouteId};
+use rrr_types::{Asn, CityId, FastMap, Ipv4, Timestamp, Traceroute, TracerouteId};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -101,11 +101,11 @@ fn segment_cities(
 /// The §4.2 monitor set.
 pub struct TraceMonitors {
     subpaths: Vec<SubpathMonitor>,
-    by_start: HashMap<Ipv4, Vec<usize>>,
+    by_start: FastMap<Ipv4, Vec<usize>>,
     subpath_index: HashMap<Vec<Ipv4>, usize>,
     borders: Vec<BorderMonitor>,
-    by_border_key: HashMap<BorderKey, Vec<usize>>,
-    border_index: HashMap<(BorderKey, AliasKey), usize>,
+    by_border_key: FastMap<BorderKey, Vec<usize>>,
+    border_index: FastMap<(BorderKey, AliasKey), usize>,
     detector: ModifiedZScore,
     absorb_outliers: bool,
     /// Learns responsive hop triples and patches single stars before border
@@ -146,11 +146,11 @@ impl TraceMonitors {
     pub fn new_with(detector: ModifiedZScore, absorb_outliers: bool) -> Self {
         TraceMonitors {
             subpaths: Vec::new(),
-            by_start: HashMap::new(),
+            by_start: FastMap::default(),
             subpath_index: HashMap::new(),
             borders: Vec::new(),
-            by_border_key: HashMap::new(),
-            border_index: HashMap::new(),
+            by_border_key: FastMap::default(),
+            border_index: FastMap::default(),
             detector,
             absorb_outliers,
             patcher: StarPatcher::new(),

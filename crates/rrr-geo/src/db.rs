@@ -5,20 +5,19 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rrr_topology::Topology;
-use rrr_types::{CityId, Ipv4};
-use std::collections::HashMap;
+use rrr_types::{CityId, FastMap, Ipv4};
 
 /// A per-address city database.
 #[derive(Debug, Clone, Default)]
 pub struct GeoDb {
-    map: HashMap<Ipv4, CityId>,
+    map: FastMap<Ipv4, CityId>,
 }
 
 impl GeoDb {
     /// The exact city of every router interface (simulation ground truth;
     /// play the role of "where the router actually is").
     pub fn ground_truth(topo: &Topology) -> Self {
-        let mut map = HashMap::new();
+        let mut map = FastMap::default();
         for r in &topo.routers {
             for &ip in &r.ifaces {
                 map.insert(ip, r.city);
@@ -36,7 +35,7 @@ impl GeoDb {
     /// general-purpose `(1.00, 0.60)`.
     pub fn noisy(topo: &Topology, coverage: f64, exact_frac: f64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut map = HashMap::new();
+        let mut map = FastMap::default();
         for r in &topo.routers {
             for &ip in &r.ifaces {
                 if !rng.gen_bool(coverage) {

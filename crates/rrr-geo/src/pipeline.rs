@@ -5,8 +5,7 @@
 use crate::db::GeoDb;
 use crate::ping::{shortest_ping, PingStats, PingVantage};
 use rrr_topology::{IpOwner, Topology};
-use rrr_types::{CityId, Ipv4};
-use std::collections::HashMap;
+use rrr_types::{CityId, FastMap, Ipv4};
 
 /// Which method produced a location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,13 +19,13 @@ pub enum Method {
 pub struct Geolocator {
     db: GeoDb,
     vantages: Vec<PingVantage>,
-    cache: HashMap<Ipv4, Option<(CityId, Method)>>,
+    cache: FastMap<Ipv4, Option<(CityId, Method)>>,
     pub ping_stats: PingStats,
 }
 
 impl Geolocator {
     pub fn new(db: GeoDb, vantages: Vec<PingVantage>) -> Self {
-        Geolocator { db, vantages, cache: HashMap::new(), ping_stats: PingStats::default() }
+        Geolocator { db, vantages, cache: FastMap::default(), ping_stats: PingStats::default() }
     }
 
     /// Locates an address, caching the outcome (geolocation changes far

@@ -8,8 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rrr_topology::Topology;
-use rrr_types::{Ipv4, RouterId};
-use std::collections::HashMap;
+use rrr_types::{FastMap, Ipv4, RouterId};
 
 /// The identity of a router as seen through alias resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -49,14 +48,14 @@ impl rrr_store::Persist for AliasKey {
 
 /// Maps interface addresses to router identities.
 pub struct AliasResolver {
-    resolved: HashMap<Ipv4, RouterId>,
+    resolved: FastMap<Ipv4, RouterId>,
 }
 
 impl AliasResolver {
     /// Builds a resolver covering a fraction `1 - miss_prob` of interfaces.
     pub fn from_topology(topo: &Topology, miss_prob: f64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut resolved = HashMap::new();
+        let mut resolved = FastMap::default();
         for r in &topo.routers {
             for &ip in &r.ifaces {
                 if !rng.gen_bool(miss_prob) {

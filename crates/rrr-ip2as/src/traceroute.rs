@@ -1,8 +1,8 @@
 //! Traceroute AS-path extraction and unresponsive-hop patching (Appendix A).
 
 use crate::mapping::{IpOrigin, IpToAsMap};
-use rrr_types::{Asn, Ipv4, Traceroute};
-use std::collections::{BTreeSet, HashMap};
+use rrr_types::{Asn, FastMap, Ipv4, Traceroute};
+use std::collections::BTreeSet;
 
 /// A traceroute mapped to AS granularity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,7 +76,7 @@ pub fn map_traceroute(tr: &Traceroute, map: &IpToAsMap, src_asn: Option<Asn>) ->
 /// when exactly one is known, the star can be patched (Appendix A).
 #[derive(Debug, Default, Clone)]
 pub struct StarPatcher {
-    observed: HashMap<(Ipv4, Ipv4), BTreeSet<Ipv4>>,
+    observed: FastMap<(Ipv4, Ipv4), BTreeSet<Ipv4>>,
 }
 
 impl rrr_store::Persist for StarPatcher {

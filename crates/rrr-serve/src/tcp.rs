@@ -19,7 +19,10 @@
 //! list holds the open connections, not every connection ever made.
 //! A client that stops reading its replies is closed on once a reply has
 //! made no progress into its socket for a second (`WRITE_STALL`), so no
-//! handler waits on a client for longer than that. [`TcpServer::shutdown`] stops
+//! handler waits on a client for longer than that. At most [`MAX_CONNS`]
+//! connections are served at once — a handler is a thread: a connection
+//! arriving past that gets one `{"error": ...}` line and is closed, and is
+//! welcome again once a client has left. [`TcpServer::shutdown`] stops
 //! accepting, wakes the handlers, and joins every thread.
 
 use crate::snapshot::ServeHandle;
@@ -36,6 +39,10 @@ const POLL: Duration = Duration::from_millis(10);
 
 /// Longest request line accepted, newline not counted.
 pub const MAX_REQUEST: usize = 64 * 1024;
+
+/// Most connections served at once, counted as handler threads that have
+/// not finished.
+pub const MAX_CONNS: usize = 256;
 
 /// How long the rest of an oversized request is read and dropped before
 /// the connection is closed on it.
@@ -73,20 +80,23 @@ impl TcpServer {
                     while !stop.load(Ordering::Acquire) {
                         match listener.accept() {
                             Ok((socket, _)) => {
+                                let mut conns = conns.lock().expect("conns lock");
+                                conns.retain(|t| !t.is_finished());
+                                if conns.len() >= MAX_CONNS {
+                                    refuse_over_cap(socket);
+                                    continue;
+                                }
                                 let handle = handle.clone();
                                 let stop = Arc::clone(&stop);
                                 // Out of threads: the socket went into the
                                 // closure, so that connection is closed; the
                                 // ones being served carry on.
-                                let Ok(t) = std::thread::Builder::new()
+                                if let Ok(t) = std::thread::Builder::new()
                                     .name("rrr-conn".into())
                                     .spawn(move || serve_conn(socket, handle, stop))
-                                else {
-                                    continue;
-                                };
-                                let mut conns = conns.lock().expect("conns lock");
-                                conns.retain(|t| !t.is_finished());
-                                conns.push(t);
+                                {
+                                    conns.push(t);
+                                }
                             }
                             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                                 std::thread::sleep(POLL);
@@ -181,6 +191,21 @@ fn serve_conn(socket: TcpStream, handle: ServeHandle, stop: Arc<AtomicBool>) {
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
             Err(_) => return,
         }
+    }
+}
+
+/// Turns away a connection that arrived with [`MAX_CONNS`] already open:
+/// one error line, write side shut, closed. This runs on the accept thread,
+/// so nothing here waits — the line fits any fresh socket's send buffer,
+/// and whatever the client had already sent is not read (if it sent
+/// something, the close may reach it as a reset ahead of the line).
+fn refuse_over_cap(mut socket: TcpStream) {
+    let err = Error::protocol(format!("server is at its limit of {MAX_CONNS} connections"));
+    let mut out = encode_error(&err);
+    out.push('\n');
+    let _ = socket.set_nodelay(true);
+    if socket.write_all(out.as_bytes()).is_ok() {
+        let _ = socket.shutdown(Shutdown::Write);
     }
 }
 
@@ -347,6 +372,57 @@ mod tests {
         // the accept that follows drops its handle.
         let handlers = server.handlers();
         assert!(handlers < 20, "{handlers} handles kept after 200 closed connections");
+        server.shutdown();
+        daemon.join().expect("drained");
+    }
+
+    #[test]
+    fn connection_past_the_cap_is_refused_and_a_freed_slot_is_reused() {
+        let (daemon, mut server) = idle_server();
+        let ask = |client: &mut TcpStream| {
+            client.write_all(b"{\"query\":\"monitor_stats\"}\n").expect("send");
+            let mut reply = String::new();
+            BufReader::new(&*client).read_line(&mut reply).expect("read");
+            reply
+        };
+        // Each is answered before the next connects, so all MAX_CONNS
+        // handlers are up when the one too many arrives.
+        let mut clients: Vec<TcpStream> = (0..MAX_CONNS)
+            .map(|_| {
+                let mut client = TcpStream::connect(server.addr()).expect("connect");
+                assert!(ask(&mut client).contains("monitor_stats"));
+                client
+            })
+            .collect();
+
+        let refused = TcpStream::connect(server.addr()).expect("the listener still accepts");
+        // Were it served instead, fail here rather than wait for a line.
+        refused.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+        let mut lines = BufReader::new(refused).lines();
+        let line = lines.next().expect("a refusal line").expect("read");
+        assert!(line.contains("\"error\"") && line.contains("limit of"), "{line}");
+        assert!(lines.next().is_none(), "closed after the one line");
+
+        // The ones already in are still answered, first and last alike.
+        assert!(ask(&mut clients[0]).contains("monitor_stats"));
+        assert!(ask(&mut clients[MAX_CONNS - 1]).contains("monitor_stats"));
+
+        // One leaves; once its handler has noticed, a newcomer gets the slot.
+        drop(clients.pop());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let mut client = TcpStream::connect(server.addr()).expect("connect");
+            client.write_all(b"{\"query\":\"monitor_stats\"}\n").expect("send");
+            let mut reply = String::new();
+            // A refusal may arrive as the line or, since a request was sent
+            // into it, as a reset.
+            let _ = BufReader::new(&client).read_line(&mut reply);
+            if reply.contains("monitor_stats") {
+                break;
+            }
+            assert!(Instant::now() < deadline, "no slot freed after a client left: {reply}");
+            std::thread::sleep(POLL);
+        }
         server.shutdown();
         daemon.join().expect("drained");
     }

@@ -25,7 +25,7 @@ use rrr_types::{
     Traceroute, TracerouteId, VpId, Window, WindowConfig,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -354,7 +354,9 @@ impl<T: Persist + Ord> Persist for BTreeSet<T> {
     }
 }
 
-impl<K: Persist + Ord + Eq + Hash, V: Persist> Persist for HashMap<K, V> {
+impl<K: Persist + Ord + Eq + Hash, V: Persist, S: BuildHasher + Default> Persist
+    for HashMap<K, V, S>
+{
     fn store<W: Write>(&self, e: &mut Encoder<W>) -> Result<(), StoreError> {
         let mut entries: Vec<(&K, &V)> = self.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
@@ -367,7 +369,7 @@ impl<K: Persist + Ord + Eq + Hash, V: Persist> Persist for HashMap<K, V> {
     }
     fn load<R: Read>(d: &mut Decoder<R>) -> Result<Self, StoreError> {
         let n = d.read_len()?;
-        let mut out = HashMap::with_capacity(n.min(PREALLOC_CAP));
+        let mut out = HashMap::with_capacity_and_hasher(n.min(PREALLOC_CAP), S::default());
         for _ in 0..n {
             let k = K::load(d)?;
             let v = V::load(d)?;
@@ -646,6 +648,28 @@ mod tests {
             b.insert(k, k * 3);
         }
         assert_eq!(to_payload(&a).unwrap(), to_payload(&b).unwrap());
+    }
+
+    #[test]
+    fn hasher_choice_never_reaches_the_bytes() {
+        use rrr_types::FastMap;
+        let key = |i: u32| (VpId(i % 12), Prefix::new(Ipv4(i.wrapping_mul(0x0101_0100)), 24));
+        let mut std_map: HashMap<(VpId, Prefix), Vec<u32>> = HashMap::new();
+        let mut fast_map: FastMap<(VpId, Prefix), Vec<u32>> = FastMap::default();
+        for i in 0..500u32 {
+            std_map.insert(key(i), vec![i, i + 1]);
+        }
+        for i in (0..500u32).rev() {
+            fast_map.insert(key(i), vec![i, i + 1]);
+        }
+        let bytes = to_payload(&std_map).unwrap();
+        assert_eq!(bytes, to_payload(&fast_map).unwrap());
+        // Either hasher loads the other's bytes back to the same entries.
+        let as_fast: FastMap<(VpId, Prefix), Vec<u32>> = from_payload(&bytes).unwrap();
+        let as_std: HashMap<(VpId, Prefix), Vec<u32>> = from_payload(&bytes).unwrap();
+        assert_eq!(as_fast, fast_map);
+        assert_eq!(as_std, std_map);
+        assert!(as_fast.iter().all(|(k, v)| std_map.get(k) == Some(v)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! values is an integer comparison and stored state (RIB mirrors, window
 //! sample logs) holds `Copy` ids instead of owned vectors.
 
-use std::collections::HashMap;
+use crate::FastMap;
 use std::hash::Hash;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -75,12 +75,12 @@ impl<T> std::fmt::Debug for ArenaId<T> {
 #[derive(Debug, Clone, Default)]
 pub struct Arena<T: Eq + Hash> {
     items: Vec<Arc<T>>,
-    index: HashMap<Arc<T>, u32>,
+    index: FastMap<Arc<T>, u32>,
 }
 
 impl<T: Eq + Hash> Arena<T> {
     pub fn new() -> Self {
-        Arena { items: Vec::new(), index: HashMap::new() }
+        Arena { items: Vec::new(), index: FastMap::default() }
     }
 
     /// The canonical id for `value`, cloning it only on first sight.

@@ -12,6 +12,7 @@
 pub mod asn;
 pub mod community;
 pub mod error;
+pub mod fasthash;
 pub mod geo;
 pub mod ids;
 pub mod intern;
@@ -23,6 +24,7 @@ pub mod time;
 pub use asn::Asn;
 pub use community::Community;
 pub use error::Error;
+pub use fasthash::{FastMap, FastSet, FastState};
 pub use geo::{CityId, GeoPoint};
 pub use ids::{AnchorId, CollectorId, FacilityId, IxpId, PeeringPointId, ProbeId, RouterId, VpId};
 pub use intern::{Arena, ArenaId};

@@ -45,13 +45,7 @@ impl AsPath {
 
     /// Path with consecutive duplicate ASes (prepending) collapsed.
     pub fn deduped(&self) -> AsPath {
-        let mut out: Vec<Asn> = Vec::with_capacity(self.0.len());
-        for &a in &self.0 {
-            if out.last() != Some(&a) {
-                out.push(a);
-            }
-        }
-        AsPath(out)
+        AsPath(dedup_slice(&self.0))
     }
 
     /// Whether the (deduped) path visits any AS twice — an AS loop.
@@ -80,6 +74,12 @@ impl AsPath {
         out.0.extend(self.0.iter().copied().filter(|a| !strip.contains(a)));
     }
 
+    /// Whether [`AsPath::stripped`]`(strip)` would equal `other`, without
+    /// building it.
+    pub fn stripped_eq(&self, strip: &[Asn], other: &AsPath) -> bool {
+        self.0.iter().filter(|a| !strip.contains(a)).eq(&other.0)
+    }
+
     /// Whether the path contains `a` at all.
     pub fn contains(&self, a: Asn) -> bool {
         self.0.contains(&a)
@@ -96,13 +96,13 @@ impl AsPath {
     /// Whether this path's suffix from AS `tau[j]` to the origin traverses
     /// exactly the ASes `tau[j..]` (the "match" condition for
     /// `P_match` in §4.1.2). Prepending on either side is ignored.
+    ///
+    /// Runs per distinct path per monitor at every window close, so it
+    /// compares the two deduplicated sequences as it walks them instead of
+    /// building either.
     pub fn suffix_matches(&self, tau: &[Asn], j: usize) -> bool {
-        let want = dedup_slice(&tau[j..]);
-        let d = self.deduped();
-        let Some(pos) = d.0.iter().position(|a| *a == want[0]) else {
-            return false;
-        };
-        d.0[pos..] == want[..]
+        let from = tau[j];
+        dedup_iter(&self.0).skip_while(|a| *a != from).eq(dedup_iter(&tau[j..]))
     }
 
     /// Whether the deduped path ends with the deduped `suffix`.
@@ -121,13 +121,16 @@ impl AsPath {
     }
 }
 
+/// `s` with consecutive repeats (prepending) collapsed, lazily.
+fn dedup_iter(s: &[Asn]) -> impl Iterator<Item = Asn> + '_ {
+    s.iter().enumerate().filter(|&(i, a)| i == 0 || s[i - 1] != *a).map(|(_, a)| *a)
+}
+
 fn dedup_slice(s: &[Asn]) -> Vec<Asn> {
-    let mut out: Vec<Asn> = Vec::with_capacity(s.len());
-    for &a in s {
-        if out.last() != Some(&a) {
-            out.push(a);
-        }
-    }
+    // Sized up front: a filter gives `collect` no lower bound, and growing
+    // by doubling made registering a monitor group half as slow again.
+    let mut out = Vec::with_capacity(s.len());
+    out.extend(dedup_iter(s));
     out
 }
 
@@ -297,6 +300,46 @@ mod proptests {
                     );
                 }
             }
+        }
+
+        /// The walking comparison answers as the definition does: find the
+        /// first `tau[j]` in the deduplicated path, and everything from
+        /// there must equal the deduplicated `tau[j..]`.
+        #[test]
+        fn suffix_matches_is_its_definition(
+            p in arb_path(),
+            tau in proptest::collection::vec(1u32..50, 1..8),
+            reps in 1usize..3,
+        ) {
+            // Paths over a small alphabet sharing tails with `tau`, with
+            // prepending on both sides.
+            let tau: Vec<Asn> = tau.into_iter().flat_map(|a| vec![Asn(a); reps]).collect();
+            for cut in 0..tau.len() {
+                let mut hops = p.0.clone();
+                hops.extend_from_slice(&tau[cut..]);
+                let path = AsPath(hops);
+                for j in 0..tau.len() {
+                    let want = dedup_slice(&tau[j..]);
+                    let d = path.deduped();
+                    let by_definition = d.0.iter().position(|a| *a == want[0])
+                        .is_some_and(|pos| d.0[pos..] == want[..]);
+                    prop_assert_eq!(path.suffix_matches(&tau, j), by_definition, "{} vs {:?} at {}", path, tau, j);
+                }
+            }
+        }
+
+        /// `stripped_eq` is `stripped` then `==`, for equal and unequal
+        /// counterparts alike.
+        #[test]
+        fn stripped_eq_is_stripped_then_eq(
+            p in arb_path(),
+            q in arb_path(),
+            strip in proptest::collection::vec(1u32..50, 0..4),
+        ) {
+            let strip: Vec<Asn> = strip.into_iter().map(Asn).collect();
+            prop_assert!(p.stripped_eq(&strip, &p.stripped(&strip)));
+            prop_assert_eq!(p.stripped_eq(&strip, &q), p.stripped(&strip) == q);
+            prop_assert_eq!(p.stripped_eq(&strip, &q.stripped(&strip)), p.stripped(&strip) == q.stripped(&strip));
         }
 
         /// Stripping removes exactly the stripped ASes and nothing else.
