@@ -1,8 +1,10 @@
 //! BGP-4 UPDATE message encoding/parsing (RFC 4271, 4-byte ASNs per
 //! RFC 6793).
 
-use crate::wire::{get_prefix, get_u16, get_u32, get_u8, put_prefix, Error, Result};
-use bytes::{Buf, BufMut};
+use crate::wire::{
+    get_prefix, get_u16, get_u32, get_u8, patch_u16_len, put_prefix, put_u16, put_u32, take, Error,
+    Result,
+};
 use rrr_types::{AsPath, Asn, Community, Ipv4, Prefix};
 
 /// BGP message type code for UPDATE.
@@ -64,46 +66,25 @@ impl BgpMessage {
     /// Encodes the full BGP message (marker, length, type, body).
     pub fn encode(&self, buf: &mut Vec<u8>) {
         let start = buf.len();
-        buf.put_slice(&[0xFF; 16]); // marker
-        buf.put_u16(0); // length placeholder
-        buf.put_u8(MSG_UPDATE);
+        buf.extend_from_slice(&[0xFF; 16]); // marker
+        put_u16(buf, 0); // length placeholder
+        buf.push(MSG_UPDATE);
 
         // Withdrawn routes.
         let wr_len_pos = buf.len();
-        buf.put_u16(0);
+        put_u16(buf, 0);
         for &p in &self.withdrawn {
             put_prefix(buf, p);
         }
-        let wr_len = (buf.len() - wr_len_pos - 2) as u16;
-        buf[wr_len_pos..wr_len_pos + 2].copy_from_slice(&wr_len.to_be_bytes());
+        patch_u16_len(buf, wr_len_pos);
 
         // Path attributes.
         let pa_len_pos = buf.len();
-        buf.put_u16(0);
+        put_u16(buf, 0);
         if !self.nlri.is_empty() {
-            encode_attr(buf, ATTR_ORIGIN, FLAG_TRANSITIVE, |b| b.put_u8(self.attrs.origin));
-            encode_attr(buf, ATTR_AS_PATH, FLAG_TRANSITIVE, |b| {
-                if !self.attrs.as_path.is_empty() {
-                    b.put_u8(SEG_AS_SEQUENCE);
-                    b.put_u8(self.attrs.as_path.len() as u8);
-                    for a in self.attrs.as_path.iter() {
-                        b.put_u32(a.value());
-                    }
-                }
-            });
-            if let Some(nh) = self.attrs.next_hop {
-                encode_attr(buf, ATTR_NEXT_HOP, FLAG_TRANSITIVE, |b| b.put_u32(nh.value()));
-            }
-            if !self.attrs.communities.is_empty() {
-                encode_attr(buf, ATTR_COMMUNITIES, FLAG_OPTIONAL | FLAG_TRANSITIVE, |b| {
-                    for c in &self.attrs.communities {
-                        b.put_u32(c.0);
-                    }
-                });
-            }
+            encode_attrs(buf, &self.attrs);
         }
-        let pa_len = (buf.len() - pa_len_pos - 2) as u16;
-        buf[pa_len_pos..pa_len_pos + 2].copy_from_slice(&pa_len.to_be_bytes());
+        patch_u16_len(buf, pa_len_pos);
 
         // NLRI.
         for &p in &self.nlri {
@@ -114,14 +95,12 @@ impl BgpMessage {
         buf[start + 16..start + 18].copy_from_slice(&total.to_be_bytes());
     }
 
-    /// Parses a full BGP message.
-    pub fn parse(buf: &mut impl Buf) -> Result<Self> {
-        if buf.remaining() < 19 {
+    /// Parses a full BGP message off the front of `buf`.
+    pub fn parse(buf: &mut &[u8]) -> Result<Self> {
+        if buf.len() < 19 {
             return Err(Error::Truncated("bgp header"));
         }
-        let mut marker = [0u8; 16];
-        buf.copy_to_slice(&mut marker);
-        if marker != [0xFF; 16] {
+        if take(buf, 16, "bgp header")? != [0xFF; 16] {
             return Err(Error::Malformed("bgp marker"));
         }
         let total = get_u16(buf, "bgp length")? as usize;
@@ -132,34 +111,26 @@ impl BgpMessage {
         if typ != MSG_UPDATE {
             return Err(Error::Unsupported("bgp message type", typ as u64));
         }
-        let body_len = total - 19;
-        if buf.remaining() < body_len {
-            return Err(Error::Truncated("bgp body"));
-        }
-        let mut body = buf.copy_to_bytes(body_len);
+        let mut body = take(buf, total - 19, "bgp body")?;
 
         // Withdrawn routes.
         let wr_len = get_u16(&mut body, "withdrawn length")? as usize;
-        if body.remaining() < wr_len {
-            return Err(Error::BadLength("withdrawn routes"));
-        }
-        let mut wr = body.copy_to_bytes(wr_len);
+        let mut wr = take(&mut body, wr_len, "withdrawn routes")
+            .map_err(|_| Error::BadLength("withdrawn routes"))?;
         let mut withdrawn = Vec::new();
-        while wr.has_remaining() {
+        while !wr.is_empty() {
             withdrawn.push(get_prefix(&mut wr, "withdrawn prefix")?);
         }
 
         // Path attributes.
         let pa_len = get_u16(&mut body, "attributes length")? as usize;
-        if body.remaining() < pa_len {
-            return Err(Error::BadLength("path attributes"));
-        }
-        let mut pa = body.copy_to_bytes(pa_len);
-        let attrs = parse_attrs(&mut pa)?;
+        let pa = take(&mut body, pa_len, "path attributes")
+            .map_err(|_| Error::BadLength("path attributes"))?;
+        let attrs = parse_attr_block(pa)?;
 
         // NLRI: rest of the body.
         let mut nlri = Vec::new();
-        while body.has_remaining() {
+        while !body.is_empty() {
             nlri.push(get_prefix(&mut body, "nlri prefix")?);
         }
 
@@ -167,46 +138,71 @@ impl BgpMessage {
     }
 }
 
-fn encode_attr(buf: &mut Vec<u8>, typ: u8, flags: u8, body: impl FnOnce(&mut Vec<u8>)) {
-    let mut tmp = Vec::new();
-    body(&mut tmp);
-    if tmp.len() > 255 {
-        buf.put_u8(flags | FLAG_EXT_LEN);
-        buf.put_u8(typ);
-        buf.put_u16(tmp.len() as u16);
+/// Every attribute body's length is known before it is written, so the
+/// header goes out first and nothing is staged.
+fn put_attr_header(buf: &mut Vec<u8>, typ: u8, flags: u8, len: usize) {
+    if len > 255 {
+        buf.extend_from_slice(&[flags | FLAG_EXT_LEN, typ]);
+        put_u16(buf, len as u16);
     } else {
-        buf.put_u8(flags);
-        buf.put_u8(typ);
-        buf.put_u8(tmp.len() as u8);
+        buf.extend_from_slice(&[flags, typ, len as u8]);
     }
-    buf.put_slice(&tmp);
 }
 
-/// Parses a standalone attribute block (as embedded in TABLE_DUMP_V2 RIB
-/// entries).
-pub fn parse_attr_block(mut bytes: bytes::Bytes) -> Result<PathAttributes> {
-    parse_attrs(&mut bytes)
-}
+/// Encodes an attribute block: what an UPDATE carries between its
+/// attribute-length field and its NLRI, and what a TABLE_DUMP_V2 RIB entry
+/// embeds.
+pub(crate) fn encode_attrs(buf: &mut Vec<u8>, attrs: &PathAttributes) {
+    put_attr_header(buf, ATTR_ORIGIN, FLAG_TRANSITIVE, 1);
+    buf.push(attrs.origin);
 
-fn parse_attrs(buf: &mut impl Buf) -> Result<PathAttributes> {
-    let mut attrs = PathAttributes::default();
-    while buf.has_remaining() {
-        let flags = get_u8(buf, "attr flags")?;
-        let typ = get_u8(buf, "attr type")?;
-        let len = if flags & FLAG_EXT_LEN != 0 {
-            get_u16(buf, "attr ext length")? as usize
-        } else {
-            get_u8(buf, "attr length")? as usize
-        };
-        if buf.remaining() < len {
-            return Err(Error::Truncated("attr body"));
+    let hops = attrs.as_path.len();
+    put_attr_header(buf, ATTR_AS_PATH, FLAG_TRANSITIVE, if hops == 0 { 0 } else { 2 + 4 * hops });
+    if hops != 0 {
+        buf.push(SEG_AS_SEQUENCE);
+        buf.push(hops as u8);
+        for a in attrs.as_path.iter() {
+            put_u32(buf, a.value());
         }
-        let mut body = buf.copy_to_bytes(len);
+    }
+
+    if let Some(nh) = attrs.next_hop {
+        put_attr_header(buf, ATTR_NEXT_HOP, FLAG_TRANSITIVE, 4);
+        put_u32(buf, nh.value());
+    }
+
+    if !attrs.communities.is_empty() {
+        put_attr_header(
+            buf,
+            ATTR_COMMUNITIES,
+            FLAG_OPTIONAL | FLAG_TRANSITIVE,
+            4 * attrs.communities.len(),
+        );
+        for c in &attrs.communities {
+            put_u32(buf, c.0);
+        }
+    }
+}
+
+/// Parses an attribute block (an UPDATE's, or the one embedded in a
+/// TABLE_DUMP_V2 RIB entry). The two `Vec`s it fills are the only
+/// allocations; both are sized by bytes present, not by a count field.
+pub fn parse_attr_block(mut buf: &[u8]) -> Result<PathAttributes> {
+    let mut attrs = PathAttributes::default();
+    while !buf.is_empty() {
+        let flags = get_u8(&mut buf, "attr flags")?;
+        let typ = get_u8(&mut buf, "attr type")?;
+        let len = if flags & FLAG_EXT_LEN != 0 {
+            get_u16(&mut buf, "attr ext length")? as usize
+        } else {
+            get_u8(&mut buf, "attr length")? as usize
+        };
+        let mut body = take(&mut buf, len, "attr body")?;
         match typ {
             ATTR_ORIGIN => attrs.origin = get_u8(&mut body, "origin")?,
             ATTR_AS_PATH => {
-                let mut asns = Vec::new();
-                while body.has_remaining() {
+                let mut asns = Vec::with_capacity(len / 4);
+                while !body.is_empty() {
                     let seg_type = get_u8(&mut body, "as_path segment type")?;
                     if seg_type != SEG_AS_SEQUENCE {
                         return Err(Error::Unsupported("as_path segment", seg_type as u64));
@@ -223,7 +219,8 @@ fn parse_attrs(buf: &mut impl Buf) -> Result<PathAttributes> {
                 if len % 4 != 0 {
                     return Err(Error::BadLength("communities"));
                 }
-                while body.has_remaining() {
+                attrs.communities.reserve(len / 4);
+                while !body.is_empty() {
                     attrs.communities.push(Community(get_u32(&mut body, "community")?));
                 }
             }

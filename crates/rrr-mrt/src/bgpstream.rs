@@ -198,11 +198,11 @@ impl<R: Read> UpdateStream<R> {
         loop {
             match self.reader.next_record() {
                 Ok(Some(rec)) => {
-                    self.pending.extend(
-                        record_to_updates(&self.dir, &rec)
-                            .into_iter()
-                            .filter(|u| self.filter.accepts(u)),
-                    );
+                    record_to_updates(&self.dir, rec, |u| {
+                        if self.filter.accepts(&u) {
+                            self.pending.push_back(u);
+                        }
+                    });
                     return true;
                 }
                 Ok(None) => return false,
@@ -215,31 +215,6 @@ impl<R: Read> UpdateStream<R> {
                 }
             }
         }
-    }
-
-    /// Drains up to `max` decoded updates into `out` (appending, reusing
-    /// its allocation) and returns how many were added. This is the batch
-    /// bridge to [`BgpMonitors::observe_batch`]: instead of surfacing one
-    /// update per iterator step, a reader loop can pull chunks sized for
-    /// the sharded ingestion fan-out. Returns 0 only at end of stream.
-    ///
-    /// [`BgpMonitors::observe_batch`]: ../../rrr_core/bgp_monitors/struct.BgpMonitors.html#method.observe_batch
-    pub fn next_batch(&mut self, max: usize, out: &mut Vec<BgpUpdate>) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.pending.pop_front() {
-                Some(u) => {
-                    out.push(u);
-                    n += 1;
-                }
-                None => {
-                    if !self.refill() {
-                        break;
-                    }
-                }
-            }
-        }
-        n
     }
 }
 
@@ -334,41 +309,6 @@ mod tests {
         let got: Vec<BgpUpdate> = UpdateStream::new(&bytes[..], dir(), filter).collect();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].prefix, "10.1.0.0/16".parse().expect("prefix"));
-    }
-
-    #[test]
-    fn next_batch_drains_in_chunks() {
-        let updates: Vec<BgpUpdate> =
-            (0..10).map(|i| update(i % 2, "10.0.0.0/16", 100 + i as u64)).collect();
-        let bytes = dump(&updates);
-        let mut s = UpdateStream::new(&bytes[..], dir(), StreamFilter::default());
-        let mut got = Vec::new();
-        let mut sizes = Vec::new();
-        loop {
-            let before = got.len();
-            let n = s.next_batch(4, &mut got);
-            assert_eq!(got.len(), before + n);
-            if n == 0 {
-                break;
-            }
-            sizes.push(n);
-        }
-        assert_eq!(got, updates);
-        assert_eq!(sizes, vec![4, 4, 2]);
-    }
-
-    #[test]
-    fn next_batch_interleaves_with_iterator() {
-        let updates: Vec<BgpUpdate> =
-            (0..5).map(|i| update(0, "10.0.0.0/16", 100 + i as u64)).collect();
-        let bytes = dump(&updates);
-        let mut s = UpdateStream::new(&bytes[..], dir(), StreamFilter::default());
-        assert_eq!(s.next().as_ref(), Some(&updates[0]));
-        let mut batch = Vec::new();
-        assert_eq!(s.next_batch(3, &mut batch), 3);
-        assert_eq!(batch, updates[1..4]);
-        assert_eq!(s.next().as_ref(), Some(&updates[4]));
-        assert_eq!(s.next(), None);
     }
 
     #[test]

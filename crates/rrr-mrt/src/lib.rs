@@ -1,6 +1,8 @@
 //! MRT (RFC 6396) and BGP UPDATE (RFC 4271) wire formats — the ingestion
 //! path a production deployment would use against RouteViews / RIPE RIS
-//! dump files, built from scratch on `bytes`.
+//! dump files, built from scratch on `&[u8]` and `Vec<u8>`: the decoders
+//! narrow and sub-slice the buffer they are handed ([`wire`]) and copy
+//! nothing but the values they return.
 //!
 //! Supported subset (what the paper's pipeline needs):
 //!

@@ -1,9 +1,11 @@
 //! MRT record layer (RFC 6396): BGP4MP_MESSAGE_AS4 for updates,
 //! TABLE_DUMP_V2 (PEER_INDEX_TABLE / RIB_IPV4_UNICAST) for RIB snapshots.
 
-use crate::bgp::{BgpMessage, PathAttributes};
-use crate::wire::{get_prefix, get_u16, get_u32, get_u8, put_prefix, Error, Result};
-use bytes::{Buf, BufMut};
+use crate::bgp::{encode_attrs, parse_attr_block, BgpMessage, PathAttributes};
+use crate::wire::{
+    get_prefix, get_u16, get_u32, get_u8, patch_u16_len, put_prefix, put_u16, put_u32, take, Error,
+    Result,
+};
 use rrr_types::{Asn, Ipv4, Prefix};
 
 const TYPE_TABLE_DUMP_V2: u16 = 13;
@@ -45,76 +47,72 @@ pub enum MrtRecord {
     RibIpv4 { time: u32, seq: u32, prefix: Prefix, entries: Vec<RibEntry> },
 }
 
+/// Smallest encoded PEER_INDEX_TABLE peer (type, BGP id, IPv4, 4-byte AS)
+/// and RIB entry (peer index, originated, attribute length): what a count
+/// field is checked against before anything is reserved for it.
+const MIN_PEER_BYTES: usize = 13;
+const MIN_RIB_ENTRY_BYTES: usize = 8;
+
 impl MrtRecord {
-    /// Encodes the record with its MRT common header.
+    /// Encodes the record with its MRT common header. The body is written
+    /// in place behind a 12-byte placeholder that is patched once the body's
+    /// length is known.
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        let mut body = Vec::new();
+        let start = buf.len();
+        buf.extend_from_slice(&[0; 12]);
         let (time, typ, sub) = match self {
             MrtRecord::Bgp4mp { time, peer_as, local_as, peer_ip, local_ip, msg } => {
-                body.put_u32(peer_as.value());
-                body.put_u32(local_as.value());
-                body.put_u16(0); // interface index
-                body.put_u16(AFI_IPV4);
-                body.put_u32(peer_ip.value());
-                body.put_u32(local_ip.value());
-                msg.encode(&mut body);
+                put_u32(buf, peer_as.value());
+                put_u32(buf, local_as.value());
+                put_u16(buf, 0); // interface index
+                put_u16(buf, AFI_IPV4);
+                put_u32(buf, peer_ip.value());
+                put_u32(buf, local_ip.value());
+                msg.encode(buf);
                 (*time, TYPE_BGP4MP, SUB_BGP4MP_MESSAGE_AS4)
             }
             MrtRecord::PeerIndexTable { collector_id, peers } => {
-                body.put_u32(*collector_id);
-                body.put_u16(0); // view name length (no view name)
-                body.put_u16(peers.len() as u16);
+                put_u32(buf, *collector_id);
+                put_u16(buf, 0); // view name length (no view name)
+                put_u16(buf, peers.len() as u16);
                 for (ip, asn) in peers {
-                    body.put_u8(PEER_TYPE_AS4_IPV4);
-                    body.put_u32(ip.value()); // peer BGP id
-                    body.put_u32(ip.value()); // peer IP
-                    body.put_u32(asn.value());
+                    buf.push(PEER_TYPE_AS4_IPV4);
+                    put_u32(buf, ip.value()); // peer BGP id
+                    put_u32(buf, ip.value()); // peer IP
+                    put_u32(buf, asn.value());
                 }
                 (0, TYPE_TABLE_DUMP_V2, SUB_PEER_INDEX_TABLE)
             }
             MrtRecord::RibIpv4 { time, seq, prefix, entries } => {
-                body.put_u32(*seq);
-                put_prefix(&mut body, *prefix);
-                body.put_u16(entries.len() as u16);
+                put_u32(buf, *seq);
+                put_prefix(buf, *prefix);
+                put_u16(buf, entries.len() as u16);
                 for e in entries {
-                    body.put_u16(e.peer_index);
-                    body.put_u32(e.originated);
-                    let mut attrs = Vec::new();
-                    // Reuse the UPDATE attribute encoding by wrapping in a
-                    // synthetic announce and slicing out the attribute bytes.
-                    let msg = BgpMessage {
-                        withdrawn: vec![],
-                        attrs: e.attrs.clone(),
-                        nlri: vec![*prefix],
-                    };
-                    let mut whole = Vec::new();
-                    msg.encode(&mut whole);
-                    // header(19) + withdrawn_len(2) + attrs_len(2)
-                    let pa_len = u16::from_be_bytes([whole[21], whole[22]]) as usize;
-                    attrs.extend_from_slice(&whole[23..23 + pa_len]);
-                    body.put_u16(attrs.len() as u16);
-                    body.put_slice(&attrs);
+                    put_u16(buf, e.peer_index);
+                    put_u32(buf, e.originated);
+                    let attr_len_pos = buf.len();
+                    put_u16(buf, 0);
+                    encode_attrs(buf, &e.attrs);
+                    patch_u16_len(buf, attr_len_pos);
                 }
                 (*time, TYPE_TABLE_DUMP_V2, SUB_RIB_IPV4_UNICAST)
             }
         };
-        buf.put_u32(time);
-        buf.put_u16(typ);
-        buf.put_u16(sub);
-        buf.put_u32(body.len() as u32);
-        buf.put_slice(&body);
+        let len = (buf.len() - start - 12) as u32;
+        let header = &mut buf[start..start + 12];
+        header[..4].copy_from_slice(&time.to_be_bytes());
+        header[4..6].copy_from_slice(&typ.to_be_bytes());
+        header[6..8].copy_from_slice(&sub.to_be_bytes());
+        header[8..].copy_from_slice(&len.to_be_bytes());
     }
 
-    /// Parses one record (header + body) from the buffer.
-    pub fn parse(buf: &mut impl Buf) -> Result<Self> {
+    /// Parses one record (header + body) off the front of `buf`.
+    pub fn parse(buf: &mut &[u8]) -> Result<Self> {
         let time = get_u32(buf, "mrt timestamp")?;
         let typ = get_u16(buf, "mrt type")?;
         let sub = get_u16(buf, "mrt subtype")?;
         let len = get_u32(buf, "mrt length")? as usize;
-        if buf.remaining() < len {
-            return Err(Error::Truncated("mrt body"));
-        }
-        let mut body = buf.copy_to_bytes(len);
+        let mut body = take(buf, len, "mrt body")?;
         match (typ, sub) {
             (TYPE_BGP4MP, SUB_BGP4MP_MESSAGE_AS4) => {
                 let peer_as = Asn(get_u32(&mut body, "peer as")?);
@@ -132,12 +130,11 @@ impl MrtRecord {
             (TYPE_TABLE_DUMP_V2, SUB_PEER_INDEX_TABLE) => {
                 let collector_id = get_u32(&mut body, "collector id")?;
                 let name_len = get_u16(&mut body, "view name length")? as usize;
-                if body.remaining() < name_len {
-                    return Err(Error::Truncated("view name"));
-                }
-                body.advance(name_len);
+                take(&mut body, name_len, "view name")?;
                 let count = get_u16(&mut body, "peer count")? as usize;
-                let mut peers = Vec::with_capacity(count);
+                // The count is the wire's claim; reserve for the peers the
+                // body can actually hold.
+                let mut peers = Vec::with_capacity(count.min(body.len() / MIN_PEER_BYTES));
                 for _ in 0..count {
                     let ptype = get_u8(&mut body, "peer type")?;
                     if ptype != PEER_TYPE_AS4_IPV4 {
@@ -154,16 +151,12 @@ impl MrtRecord {
                 let seq = get_u32(&mut body, "rib seq")?;
                 let prefix = get_prefix(&mut body, "rib prefix")?;
                 let count = get_u16(&mut body, "rib entry count")? as usize;
-                let mut entries = Vec::with_capacity(count);
+                let mut entries = Vec::with_capacity(count.min(body.len() / MIN_RIB_ENTRY_BYTES));
                 for _ in 0..count {
                     let peer_index = get_u16(&mut body, "rib peer index")?;
                     let originated = get_u32(&mut body, "rib originated")?;
                     let alen = get_u16(&mut body, "rib attr length")? as usize;
-                    if body.remaining() < alen {
-                        return Err(Error::Truncated("rib attrs"));
-                    }
-                    let abytes = body.copy_to_bytes(alen);
-                    let attrs = crate::bgp::parse_attr_block(abytes)?;
+                    let attrs = parse_attr_block(take(&mut body, alen, "rib attrs")?)?;
                     entries.push(RibEntry { peer_index, originated, attrs });
                 }
                 Ok(MrtRecord::RibIpv4 { time, seq, prefix, entries })
@@ -237,10 +230,10 @@ mod tests {
     #[test]
     fn unsupported_type_rejected() {
         let mut buf = Vec::new();
-        buf.put_u32(0);
-        buf.put_u16(99);
-        buf.put_u16(1);
-        buf.put_u32(0);
+        put_u32(&mut buf, 0);
+        put_u16(&mut buf, 99);
+        put_u16(&mut buf, 1);
+        put_u32(&mut buf, 0);
         assert!(matches!(
             MrtRecord::parse(&mut &buf[..]),
             Err(Error::Unsupported("mrt type/subtype", _))

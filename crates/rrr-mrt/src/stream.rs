@@ -53,37 +53,26 @@ impl VpDirectory {
     }
 }
 
-/// Decodes a BGP4MP record back to simulator updates (one per NLRI /
-/// withdrawn prefix), resolving the peer via the directory. Non-update
-/// records yield an empty vec.
-pub fn record_to_updates(dir: &VpDirectory, r: &MrtRecord) -> Vec<BgpUpdate> {
-    let MrtRecord::Bgp4mp { time, peer_ip, msg, .. } = r else {
-        return Vec::new();
-    };
-    let Some(vp) = dir.vp_of(*peer_ip) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for &p in &msg.withdrawn {
-        out.push(BgpUpdate {
-            time: Timestamp(*time as u64),
-            vp,
-            prefix: p,
-            elem: BgpElem::Withdraw,
-        });
+/// Decodes a BGP4MP record back to simulator updates, handing each to
+/// `sink` in wire order (one per withdrawn prefix, then one per NLRI) and
+/// resolving the peer via the directory. The record is consumed: its path
+/// and communities move into the last NLRI's update, so the single-NLRI
+/// record every feed is made of clones nothing. Non-update records and
+/// unknown peers yield nothing.
+pub fn record_to_updates(dir: &VpDirectory, r: MrtRecord, mut sink: impl FnMut(BgpUpdate)) {
+    let MrtRecord::Bgp4mp { time, peer_ip, msg, .. } = r else { return };
+    let Some(vp) = dir.vp_of(peer_ip) else { return };
+    let time = Timestamp(time as u64);
+    for prefix in msg.withdrawn {
+        sink(BgpUpdate { time, vp, prefix, elem: BgpElem::Withdraw });
     }
-    for &p in &msg.nlri {
-        out.push(BgpUpdate {
-            time: Timestamp(*time as u64),
-            vp,
-            prefix: p,
-            elem: BgpElem::Announce {
-                path: msg.attrs.as_path.clone(),
-                communities: msg.attrs.communities.clone(),
-            },
-        });
+    let Some((&last, rest)) = msg.nlri.split_last() else { return };
+    let (path, communities) = (msg.attrs.as_path, msg.attrs.communities);
+    for &prefix in rest {
+        let elem = BgpElem::Announce { path: path.clone(), communities: communities.clone() };
+        sink(BgpUpdate { time, vp, prefix, elem });
     }
-    out
+    sink(BgpUpdate { time, vp, prefix: last, elem: BgpElem::Announce { path, communities } });
 }
 
 #[cfg(test)]
@@ -140,7 +129,7 @@ mod tests {
             if matches!(rec, MrtRecord::PeerIndexTable { .. }) {
                 peer_tables += 1;
             }
-            got.extend(record_to_updates(&dir, &rec));
+            record_to_updates(&dir, rec, |u| got.push(u));
         }
         assert_eq!(peer_tables, 1);
         assert_eq!(got, updates);
@@ -196,6 +185,6 @@ mod tests {
         w.write_update(&other, u).expect("in-memory write");
         let bytes = w.finish().expect("flush");
         let rec = MrtFileReader::new(&bytes[..]).next().expect("one record").expect("valid");
-        assert!(record_to_updates(&dir, &rec).is_empty());
+        record_to_updates(&dir, rec, |u| panic!("unknown peer decoded to {u:?}"));
     }
 }

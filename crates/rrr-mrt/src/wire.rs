@@ -1,6 +1,8 @@
-//! Low-level wire helpers and the parse error type.
+//! Low-level wire helpers and the parse error type: checked big-endian
+//! readers that consume from the front of a borrowed `&[u8]`, and writers
+//! that append to a `Vec<u8>`. Nothing here copies or allocates; a decoder
+//! narrows the slice it was handed and sub-slices it with [`take`].
 
-use bytes::{Buf, BufMut};
 use rrr_types::{Ipv4, Prefix};
 use std::fmt;
 
@@ -32,50 +34,63 @@ impl std::error::Error for Error {}
 
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Checked big-endian readers over a `Buf`.
-pub fn get_u8(buf: &mut impl Buf, what: &'static str) -> Result<u8> {
-    if buf.remaining() < 1 {
+/// Splits the first `n` bytes off the front of `buf`, or reports `what` as
+/// truncated and leaves `buf` as it was.
+pub fn take<'a>(buf: &mut &'a [u8], n: usize, what: &'static str) -> Result<&'a [u8]> {
+    if buf.len() < n {
         return Err(Error::Truncated(what));
     }
-    Ok(buf.get_u8())
+    let (head, tail) = buf.split_at(n);
+    *buf = tail;
+    Ok(head)
 }
 
-pub fn get_u16(buf: &mut impl Buf, what: &'static str) -> Result<u16> {
-    if buf.remaining() < 2 {
-        return Err(Error::Truncated(what));
-    }
-    Ok(buf.get_u16())
+pub fn get_u8(buf: &mut &[u8], what: &'static str) -> Result<u8> {
+    Ok(take(buf, 1, what)?[0])
 }
 
-pub fn get_u32(buf: &mut impl Buf, what: &'static str) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(Error::Truncated(what));
-    }
-    Ok(buf.get_u32())
+pub fn get_u16(buf: &mut &[u8], what: &'static str) -> Result<u16> {
+    let b = take(buf, 2, what)?;
+    Ok(u16::from_be_bytes([b[0], b[1]]))
+}
+
+pub fn get_u32(buf: &mut &[u8], what: &'static str) -> Result<u32> {
+    let b = take(buf, 4, what)?;
+    Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
 }
 
 /// Reads an NLRI-encoded prefix: length byte then `ceil(len/8)` bytes.
-pub fn get_prefix(buf: &mut impl Buf, what: &'static str) -> Result<Prefix> {
+pub fn get_prefix(buf: &mut &[u8], what: &'static str) -> Result<Prefix> {
     let len = get_u8(buf, what)?;
     if len > 32 {
         return Err(Error::Malformed(what));
     }
-    let nbytes = len.div_ceil(8) as usize;
-    if buf.remaining() < nbytes {
-        return Err(Error::Truncated(what));
-    }
+    let bytes = take(buf, len.div_ceil(8) as usize, what)?;
     let mut octets = [0u8; 4];
-    for o in octets.iter_mut().take(nbytes) {
-        *o = buf.get_u8();
-    }
+    octets[..bytes.len()].copy_from_slice(bytes);
     Ok(Prefix::new(Ipv4::from(octets), len))
 }
 
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
 /// Writes an NLRI-encoded prefix.
-pub fn put_prefix(buf: &mut impl BufMut, p: Prefix) {
-    buf.put_u8(p.len());
+pub fn put_prefix(buf: &mut Vec<u8>, p: Prefix) {
+    buf.push(p.len());
     let octets = p.network().octets();
-    buf.put_slice(&octets[..p.len().div_ceil(8) as usize]);
+    buf.extend_from_slice(&octets[..p.len().div_ceil(8) as usize]);
+}
+
+/// Back-patches the `u16` length placeholder at `pos` with the number of
+/// bytes written after it.
+pub fn patch_u16_len(buf: &mut [u8], pos: usize) {
+    let len = (buf.len() - pos - 2) as u16;
+    buf[pos..pos + 2].copy_from_slice(&len.to_be_bytes());
 }
 
 #[cfg(test)]

@@ -2,11 +2,23 @@
 //! publication on every epoch advance.
 //!
 //! Design (after the flashroute.rs reproduction's idiom): no locks on the
-//! hot path — each feed pushes batches through its own **bounded** channel
-//! (blocking send = backpressure: a fast feed stalls once it runs
-//! `channel_capacity` batches ahead), and the single ingest thread owns
-//! the detector outright. The only shared mutable state is the snapshot
-//! cell's pointer and a few atomic counters.
+//! hot path — each feed hands batches over its own **rendezvous** channel
+//! (a send completes only when the merge loop takes the batch), and the
+//! single ingest thread owns the detector outright. The only shared mutable
+//! state is the snapshot cell's pointer and a few atomic counters.
+//!
+//! ## Hand-off
+//!
+//! There is no queue between a feed and the merge loop. The merge loop
+//! holds one batch per feed in `heads`; the feed thread builds the next one
+//! while the engine steps, then blocks in `send` until `heads[i]` is free
+//! again. That is double buffering, and it is all the read-ahead there is:
+//! a feed is never more than two batches past what the engine has stepped
+//! (one in `heads`, one in hand). Publish lag on a closed-loop replay is
+//! (batches waiting + 1) × the engine's time per window, so a deeper queue
+//! buys lag and no throughput once the engine is the slower side. A blocked
+//! `send` is the backpressure, and `rrr_serve_backpressure_stalls_total`
+//! counts the batches that were ready before the merge loop asked for them.
 //!
 //! ## Deterministic merge
 //!
@@ -96,13 +108,9 @@ impl Engine {
     }
 }
 
-/// Daemon tuning knobs.
-#[derive(Debug, Clone)]
+/// Daemon tuning knobs. The default keeps no snapshots and reports nowhere.
+#[derive(Debug, Clone, Default)]
 pub struct DaemonConfig {
-    /// Bound of each feed's channel, in batches. This is the backpressure
-    /// budget: a feed may run at most this many batches ahead of the
-    /// merge loop before its thread blocks.
-    pub channel_capacity: usize,
     /// Keep every published snapshot in the final [`IngestReport`]
     /// (harness oracles replay against them). Off for production use —
     /// it pins every epoch's snapshot in memory.
@@ -113,23 +121,14 @@ pub struct DaemonConfig {
     pub metrics: Metrics,
 }
 
-impl Default for DaemonConfig {
-    fn default() -> Self {
-        DaemonConfig { channel_capacity: 4, record_snapshots: false, metrics: Metrics::disabled() }
-    }
-}
+/// What crosses the hand-off: a batch, or the error that ended the feed.
+type FeedMsg = Result<FeedBatch, Error>;
 
-/// Per-feed series, labeled `feed="i"`. The depth gauge is incremented by
-/// the feed thread after each successful send and decremented by the
-/// ingest thread after each successful receive, so its value is the number
-/// of batches sitting in that feed's channel (transiently off by one
-/// between the two updates — gauges are signed for exactly this reason).
-#[derive(Clone, Default)]
+/// Per-feed series, labeled `feed="i"`.
 struct FeedObs {
     batches: Counter,
     updates: Counter,
     public: Counter,
-    depth: Gauge,
     stalls: Counter,
 }
 
@@ -140,31 +139,23 @@ impl FeedObs {
             batches: m.counter(&labeled("rrr_serve_feed_batches_total", &l)),
             updates: m.counter(&labeled("rrr_serve_feed_updates_total", &l)),
             public: m.counter(&labeled("rrr_serve_feed_public_total", &l)),
-            depth: m.gauge(&labeled("rrr_serve_queue_depth", &l)),
             stalls: m.counter(&labeled("rrr_serve_backpressure_stalls_total", &l)),
         }
     }
 
-    /// Sends with the bounded channel's backpressure made visible: a full
-    /// channel counts one stall before falling back to the blocking send.
+    /// Hands `msg` to the merge loop with the wait made visible: if the
+    /// merge loop is not already waiting for this feed, that is one stall
+    /// (the feed had to wait for the engine) before the blocking send.
     /// Returns `false` when the receiver is gone.
-    fn send(
-        &self,
-        tx: &SyncSender<Result<FeedBatch, Error>>,
-        msg: Result<FeedBatch, Error>,
-    ) -> bool {
-        let sent = match tx.try_send(msg) {
+    fn send(&self, tx: &SyncSender<FeedMsg>, msg: FeedMsg) -> bool {
+        match tx.try_send(msg) {
             Ok(()) => true,
             Err(TrySendError::Full(msg)) => {
                 self.stalls.inc();
                 tx.send(msg).is_ok()
             }
             Err(TrySendError::Disconnected(_)) => false,
-        };
-        if sent {
-            self.depth.add(1);
         }
-        sent
     }
 }
 
@@ -231,14 +222,12 @@ impl Daemon {
         let stats = Arc::new(ServeStats::default());
         let handle = ServeHandle::new(Arc::clone(&cell), Arc::clone(&stats), cfg.metrics.clone());
 
-        let feed_obs: Arc<Vec<FeedObs>> =
-            Arc::new((0..feeds.len()).map(|i| FeedObs::new(&cfg.metrics, i)).collect());
         let mut feed_threads = Vec::with_capacity(feeds.len());
-        let mut rxs: Vec<Receiver<Result<FeedBatch, Error>>> = Vec::with_capacity(feeds.len());
+        let mut rxs: Vec<Receiver<FeedMsg>> = Vec::with_capacity(feeds.len());
         for (i, mut src) in feeds.into_iter().enumerate() {
-            let (tx, rx) = sync_channel::<Result<FeedBatch, Error>>(cfg.channel_capacity.max(1));
+            let (tx, rx) = sync_channel::<FeedMsg>(0);
             rxs.push(rx);
-            let obs = feed_obs[i].clone();
+            let obs = FeedObs::new(&cfg.metrics, i);
             feed_threads.push(
                 std::thread::Builder::new()
                     .name(format!("rrr-feed-{i}"))
@@ -268,9 +257,7 @@ impl Daemon {
         let ingest_obs = IngestObs::new(&cfg.metrics);
         let ingest = std::thread::Builder::new()
             .name("rrr-ingest".into())
-            .spawn(move || {
-                ingest_loop(engine, rxs, cell, stats, cfg.record_snapshots, feed_obs, ingest_obs)
-            })
+            .spawn(move || ingest_loop(engine, rxs, cell, stats, cfg.record_snapshots, ingest_obs))
             .expect("spawn ingest thread");
 
         Daemon { handle, ingest, feeds: feed_threads }
@@ -295,11 +282,10 @@ impl Daemon {
 
 fn ingest_loop(
     mut engine: Engine,
-    rxs: Vec<Receiver<Result<FeedBatch, Error>>>,
+    rxs: Vec<Receiver<FeedMsg>>,
     cell: Arc<SnapshotCell>,
     stats: Arc<ServeStats>,
     record_snapshots: bool,
-    feed_obs: Arc<Vec<FeedObs>>,
     obs: IngestObs,
 ) -> Result<IngestReport, Error> {
     let n = rxs.len();
@@ -322,14 +308,8 @@ fn ingest_loop(
         for i in 0..rxs.len() {
             if open[i] && heads[i].is_none() {
                 match rxs[i].recv() {
-                    Ok(Ok(b)) => {
-                        feed_obs[i].depth.sub(1);
-                        heads[i] = Some(b);
-                    }
-                    Ok(Err(e)) => {
-                        feed_obs[i].depth.sub(1);
-                        return Err(e);
-                    }
+                    Ok(Ok(b)) => heads[i] = Some(b),
+                    Ok(Err(e)) => return Err(e),
                     Err(_) => open[i] = false,
                 }
             }
@@ -495,11 +475,7 @@ mod tests {
             let daemon = Daemon::spawn(
                 Engine::Plain(tiny_detector()),
                 feeds,
-                DaemonConfig {
-                    channel_capacity: 1,
-                    record_snapshots: true,
-                    ..DaemonConfig::default()
-                },
+                DaemonConfig { record_snapshots: true, ..DaemonConfig::default() },
             );
             let handle = daemon.handle();
             let report = daemon.join().expect("drained");
@@ -598,7 +574,7 @@ mod tests {
         let daemon = Daemon::spawn(
             Engine::Durable(durable),
             feeds,
-            DaemonConfig { channel_capacity: 1, record_snapshots: true, ..DaemonConfig::default() },
+            DaemonConfig { record_snapshots: true, ..DaemonConfig::default() },
         );
         let report = daemon.join().expect("drained");
         assert_eq!(report.signals, reference.signal_log());

@@ -71,48 +71,35 @@ pub struct MrtFeed<R: Read> {
     /// One decoded update of lookahead (the first update of the *next*
     /// window, held until that window's batch is assembled).
     lookahead: Option<BgpUpdate>,
-    started: bool,
 }
 
 impl<R: Read + Send> MrtFeed<R> {
     pub fn new(stream: rrr_mrt::UpdateStream<R>, window: WindowConfig) -> Self {
-        MrtFeed { stream, window, lookahead: None, started: false }
+        MrtFeed { stream, window, lookahead: None }
     }
 }
 
 impl<R: Read + Send> FeedSource for MrtFeed<R> {
     fn next_batch(&mut self) -> Result<Option<FeedBatch>, rrr_types::Error> {
-        let first = match self.lookahead.take().or_else(|| self.stream.next()) {
-            Some(u) => u,
-            None => {
-                if let Some(e) = self.stream.finished_with.take() {
-                    return Err(rrr_types::Error::feed(format!("mrt stream: {e}")));
-                }
-                return Ok(None);
+        let mut open = None;
+        let mut updates = Vec::new();
+        while let Some(u) = self.lookahead.take().or_else(|| self.stream.next()) {
+            let w = self.window.window_of(u.time);
+            if *open.get_or_insert(w) != w {
+                self.lookahead = Some(u);
+                break;
             }
-        };
-        if !self.started {
-            self.started = true;
+            updates.push(u);
         }
-        let w = self.window.window_of(first.time);
-        let (_, end) = self.window.bounds(w);
-        let mut updates = vec![first];
-        loop {
-            match self.stream.next() {
-                Some(u) if self.window.window_of(u.time) == w => updates.push(u),
-                Some(u) => {
-                    self.lookahead = Some(u);
-                    break;
-                }
-                None => {
-                    if let Some(e) = self.stream.finished_with.take() {
-                        return Err(rrr_types::Error::feed(format!("mrt stream: {e}")));
-                    }
-                    break;
-                }
-            }
+        // The stream ends the same way on EOF and on a bad record; only the
+        // latter leaves a verdict behind.
+        if let Some(e) = self.stream.finished_with.take() {
+            return Err(rrr_types::Error::feed(format!("mrt stream: {e}")));
         }
-        Ok(Some(FeedBatch { now: end, updates, public: Vec::new() }))
+        Ok(open.map(|w| {
+            let (_, now) = self.window.bounds(w);
+            FeedBatch { now, updates, public: Vec::new() }
+        }))
     }
 }
 

@@ -5,8 +5,8 @@
 //!
 //! - N concurrent feeds ([`FeedSource`]) — scripted rounds in harnesses,
 //!   [`MrtFeed`]s over decoded MRT streams in deployments — each pulled by
-//!   its own thread through a bounded channel (blocking send =
-//!   backpressure);
+//!   its own thread and handed to the ingest thread over a rendezvous
+//!   channel (the blocked send is the backpressure; no queue in between);
 //! - one ingest thread that merges feed batches deterministically (see
 //!   [`feed`]) and steps the detector;
 //! - epoch-versioned immutable [`rrr_core::DetectorSnapshot`]s published

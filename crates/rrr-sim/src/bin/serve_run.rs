@@ -203,7 +203,7 @@ fn main() -> ExitCode {
     let daemon = Daemon::spawn(
         Engine::Plain(world.build(args.threads)),
         sources,
-        DaemonConfig { channel_capacity: 2, record_snapshots: true, metrics: metrics.clone() },
+        DaemonConfig { record_snapshots: true, metrics: metrics.clone() },
     );
     let handle = daemon.handle();
 

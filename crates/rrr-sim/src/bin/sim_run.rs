@@ -163,6 +163,15 @@ fn run_weather_mode(args: &Args, regime: &str) -> ExitCode {
         stats.materialized_chains,
         report.digest
     );
+    for t in &report.techniques {
+        println!(
+            "  {:<18} precision={} ({} of {} signals true)",
+            t.technique.to_string(),
+            fmt(t.precision()),
+            t.signals_true,
+            t.signals
+        );
+    }
 
     let mut ok = true;
     if args.verify_repro {

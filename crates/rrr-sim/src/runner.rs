@@ -167,16 +167,8 @@ fn oracle_weather_report(
             det.step(r.now, &r.updates, &r.public);
         }
         let log = log_repr(&det);
-        let sigs: Vec<(u64, usize)> = det
-            .signal_log()
-            .iter()
-            .filter_map(|s| match &s.key.scope {
-                rrr_core::SignalScope::AsSuffix { dst_prefix, .. } => gen
-                    .corpus_index_of(*dst_prefix)
-                    .map(|ci| (s.window.index().min(spec.windows - 1), ci)),
-                _ => None,
-            })
-            .collect();
+        let sigs: Vec<_> =
+            det.signal_log().iter().filter_map(|s| weather::scored(spec, &gen, s)).collect();
         (log, sigs)
     };
     let (log_a, sigs) = run(base_threads);
@@ -796,7 +788,7 @@ pub fn oracle_serve_equivalence(
     let daemon = Daemon::spawn(
         Engine::Plain(world.build(threads)),
         sources,
-        DaemonConfig { channel_capacity: 2, record_snapshots: true, ..DaemonConfig::default() },
+        DaemonConfig { record_snapshots: true, ..DaemonConfig::default() },
     );
     let handle = daemon.handle();
     let report = daemon.join().map_err(|e| format!("daemon failed: {e}"))?;
@@ -867,7 +859,7 @@ fn oracle_mrt_round_trip(world: &SimWorld, steps: &[RoundInput]) -> Result<(), S
     let mut got = Vec::new();
     for rec in MrtFileReader::new(&bytes[..]) {
         let rec = rec.map_err(|e| format!("MRT decode error: {e:?}"))?;
-        got.extend(record_to_updates(&dir, &rec));
+        record_to_updates(&dir, rec, |u| got.push(u));
     }
     if got.len() != all.len() {
         return Err(format!(
@@ -974,7 +966,7 @@ fn oracle_metrics_invariants(
     let daemon = Daemon::spawn(
         Engine::Plain(world.build(threads)),
         sources,
-        DaemonConfig { channel_capacity: 2, record_snapshots: true, metrics: metrics.clone() },
+        DaemonConfig { record_snapshots: true, metrics: metrics.clone() },
     );
     let report = daemon.join().map_err(|e| format!("metrics daemon failed: {e}"))?;
     let snap = metrics.snapshot();
@@ -1010,11 +1002,6 @@ fn oracle_metrics_invariants(
             "daemon identity broken: publish epoch {} vs {closed} closed windows",
             snap.gauge("rrr_serve_publish_epoch")
         ));
-    }
-    for (name, v) in &snap.gauges {
-        if name.starts_with("rrr_serve_queue_depth") && *v != 0 {
-            return Err(format!("queue depth gauge {name} = {v} after the daemon drained"));
-        }
     }
     Ok(())
 }

@@ -18,7 +18,7 @@
 
 use crate::ron::Value;
 use rrr_bench::weather::{Regime, TruthEvent, TruthKind, WeatherScale, WeatherWorld, WINDOW_SECS};
-use rrr_core::SignalScope;
+use rrr_core::{SignalScope, StalenessSignal, Technique};
 use rrr_types::Timestamp;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -126,12 +126,31 @@ impl WindowStats {
     }
 }
 
+/// Run-wide signal tallies for one §4.1 technique, counted by the rule
+/// [`WindowStats::signals_true`] uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TechniqueStats {
+    pub technique: Technique,
+    pub signals: u64,
+    pub signals_true: u64,
+}
+
+impl TechniqueStats {
+    /// `signals_true / signals`, undefined when the technique never fired.
+    pub fn precision(&self) -> Option<f64> {
+        (self.signals > 0).then(|| self.signals_true as f64 / self.signals as f64)
+    }
+}
+
 /// The scored outcome of one weather run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeatherReport {
     pub regime: String,
     pub seed: u64,
     pub windows: Vec<WindowStats>,
+    /// One row per BGP technique, in Table 2 order; the rows partition the
+    /// signals the windows count.
+    pub techniques: Vec<TechniqueStats>,
     /// FNV digest over every emitted signal's full repr — bit-for-bit
     /// reproducibility witness.
     pub digest: u64,
@@ -222,7 +241,7 @@ pub fn run_weather(
     let mut world = spec.world(scale)?;
     let mut det = world.build_detector(threads);
     let mut truth_all: Vec<TruthEvent> = Vec::new();
-    let mut sig_windows: Vec<(u64, usize)> = Vec::new();
+    let mut sig_windows: Vec<(u64, usize, Technique)> = Vec::new();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut updates_fed = 0u64;
     let mut signals_emitted = 0u64;
@@ -244,11 +263,7 @@ pub fn run_weather(
                 )
                 .as_bytes(),
             );
-            if let SignalScope::AsSuffix { dst_prefix, .. } = &s.key.scope {
-                if let Some(ci) = world.corpus_index_of(*dst_prefix) {
-                    sig_windows.push((s.window.index().min(spec.windows - 1), ci));
-                }
-            }
+            sig_windows.extend(scored(spec, &world, s));
         }
         truth_all.extend(truth);
     }
@@ -261,18 +276,30 @@ pub fn run_weather(
     Ok((report, stats))
 }
 
+/// What [`score`] keeps of a signal — `(window, corpus index, technique)`
+/// — or `None` for one that is not scoped to a corpus destination.
+pub(crate) fn scored(
+    spec: &WeatherSpec,
+    world: &WeatherWorld,
+    s: &StalenessSignal,
+) -> Option<(u64, usize, Technique)> {
+    let SignalScope::AsSuffix { dst_prefix, .. } = &s.key.scope else { return None };
+    let ci = world.corpus_index_of(*dst_prefix)?;
+    Some((s.window.index().min(spec.windows - 1), ci, s.key.technique))
+}
+
 /// Matches signals to truth events per corpus prefix within the lag
-/// horizon and aggregates per-window stats.
+/// horizon and aggregates per-window and per-technique stats.
 pub(crate) fn score(
     spec: &WeatherSpec,
     truth: &[TruthEvent],
-    signals: &[(u64, usize)],
+    signals: &[(u64, usize, Technique)],
     digest: u64,
 ) -> WeatherReport {
     // Per-prefix sorted signal windows for the coverage test, and
     // per-prefix sorted route-truth windows for the precision test.
     let mut sig_by_ci: HashMap<usize, Vec<u64>> = HashMap::new();
-    for &(w, ci) in signals {
+    for &(w, ci, _) in signals {
         sig_by_ci.entry(ci).or_default().push(w);
     }
     let mut route_by_ci: HashMap<usize, Vec<u64>> = HashMap::new();
@@ -310,14 +337,24 @@ pub(crate) fn score(
             w.truth_noise += 1;
         }
     }
-    for &(sw, ci) in signals {
+    let mut techniques: Vec<TechniqueStats> = Technique::ALL
+        .into_iter()
+        .filter(|t| t.is_bgp())
+        .map(|technique| TechniqueStats { technique, signals: 0, signals_true: 0 })
+        .collect();
+    for &(sw, ci, technique) in signals {
+        let hit = any_in(route_by_ci.get(&ci), sw.saturating_sub(LAG_WINDOWS), sw);
         let w = &mut windows[sw as usize];
         w.signals += 1;
-        if any_in(route_by_ci.get(&ci), sw.saturating_sub(LAG_WINDOWS), sw) {
-            w.signals_true += 1;
-        }
+        w.signals_true += hit as u32;
+        let row = techniques
+            .iter_mut()
+            .find(|r| r.technique == technique)
+            .expect("AS-suffix signals come from the BGP techniques only");
+        row.signals += 1;
+        row.signals_true += hit as u64;
     }
-    WeatherReport { regime: spec.regime.clone(), seed: spec.seed, windows, digest }
+    WeatherReport { regime: spec.regime.clone(), seed: spec.seed, windows, techniques, digest }
 }
 
 #[cfg(test)]
@@ -363,7 +400,7 @@ mod tests {
         // Signal at w=3/ci=0 covers the w=2 fail; signal at w=7/ci=2
         // chases community noise (false); ci=1's shift at w=6 goes
         // undetected (uncovered).
-        let signals = vec![(3u64, 0usize), (7, 2)];
+        let signals = vec![(3u64, 0usize, Technique::BgpAsPath), (7, 2, Technique::BgpCommunity)];
         let r = score(&sp, &truth, &signals, 0);
         assert_eq!(r.windows[2].truth_route, 1);
         assert_eq!(r.windows[2].truth_covered, 1);
@@ -377,13 +414,15 @@ mod tests {
         let (p, c) = r.totals();
         assert_eq!(p, Some(0.5));
         assert_eq!(c, Some(0.5));
+        let rows: Vec<_> = r.techniques.iter().map(|t| (t.signals, t.precision())).collect();
+        assert_eq!(rows, [(1, Some(1.0)), (1, Some(0.0)), (0, None)]);
     }
 
     #[test]
     fn trajectory_table_buckets_the_run() {
         let sp = spec("diurnal", 1, 8);
         let truth = vec![TruthEvent { window: 1, corpus_idx: 0, kind: TruthKind::LinkFail }];
-        let r = score(&sp, &truth, &[(1, 0)], 0);
+        let r = score(&sp, &truth, &[(1, 0, Technique::BgpBurst)], 0);
         let table = r.trajectory_table(2);
         assert_eq!(table.lines().count(), 4, "header + separator + 2 buckets:\n{table}");
         assert!(table.contains("| 0–3 |"), "{table}");
@@ -400,5 +439,14 @@ mod tests {
         assert!(stats.updates_fed > 0);
         assert!(stats.signals_emitted > 0, "40 windows of weather must signal something");
         assert!(a.windows.iter().any(|w| w.truth_route > 0), "weather must inject events");
+        // The per-technique rows partition the per-window aggregate.
+        let by_window = a
+            .windows
+            .iter()
+            .fold((0, 0), |(s, t), w| (s + w.signals as u64, t + w.signals_true as u64));
+        let by_technique =
+            a.techniques.iter().fold((0, 0), |(s, t), r| (s + r.signals, t + r.signals_true));
+        assert_eq!(by_technique, by_window);
+        assert!(by_window.0 > 0, "the run must score some signals");
     }
 }

@@ -63,8 +63,7 @@ fn main() -> Result<(), StoreError> {
     let dump = writer.finish().expect("write to memory");
 
     let mut stream = UpdateStream::new(&dump[..], dir, StreamFilter::default());
-    let mut decoded = Vec::new();
-    while stream.next_batch(4096, &mut decoded) > 0 {}
+    let decoded: Vec<BgpUpdate> = stream.by_ref().collect();
     assert!(stream.finished_with.is_none(), "clean stream");
     let (rib_part, live_part) = decoded.split_at(rib.len());
 

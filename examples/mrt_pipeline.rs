@@ -41,18 +41,11 @@ fn main() {
         dir.len()
     );
 
-    // --- consumer side: stream the dump in batches and feed the detector.
-    // `next_batch` is the bridge into the sharded `observe_batch` ingestion:
-    // chunks arrive sized for the fan-out instead of one update per
-    // iterator step. ---
+    // --- consumer side: stream the dump and feed the detector. ---
     let mut stream = UpdateStream::new(&dump[..], dir, StreamFilter::default());
-    let mut decoded = Vec::new();
-    let mut batches = 0;
-    while stream.next_batch(4096, &mut decoded) > 0 {
-        batches += 1;
-    }
+    let decoded: Vec<_> = stream.by_ref().collect();
     assert!(stream.finished_with.is_none(), "clean stream");
-    println!("decoded {} updates from the dump in {batches} batches", decoded.len());
+    println!("decoded {} updates from the dump", decoded.len());
     assert_eq!(decoded.len(), rib.len() + live.len(), "lossless round-trip");
 
     let mut map = IpToAsMap::from_announcements(decoded.iter());

@@ -124,7 +124,7 @@ proptest! {
         let bytes = w.finish().expect("write to memory");
         let mut decoded = Vec::new();
         for rec in MrtFileReader::new(&bytes[..]) {
-            decoded.extend(record_to_updates(&dir, &rec.expect("well-formed")));
+            record_to_updates(&dir, rec.expect("well-formed"), |u| decoded.push(u));
         }
         prop_assert_eq!(decoded, updates);
     }

@@ -67,7 +67,7 @@ proptest! {
             let daemon = Daemon::spawn(
                 Engine::Plain(world.build(1)),
                 sources,
-                DaemonConfig { channel_capacity: 1, record_snapshots: true, ..DaemonConfig::default() },
+                DaemonConfig { record_snapshots: true, ..DaemonConfig::default() },
             );
             let report = match daemon.join() {
                 Ok(r) => r,
