@@ -26,10 +26,6 @@ impl PathTimeline {
         }
     }
 
-    pub fn state_at(&self, t: Timestamp) -> &CanonicalPath {
-        &self.states[self.state_index_at(t)].1
-    }
-
     /// Number of changes (states after the first).
     pub fn change_count(&self) -> usize {
         self.states.len().saturating_sub(1)

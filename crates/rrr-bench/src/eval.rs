@@ -34,7 +34,6 @@ pub struct ChangeEvent {
 /// Tracks ground-truth canonical paths per pair and emits change events.
 pub struct GroundTruthTracker {
     pairs: Vec<(ProbeId, Ipv4)>,
-    pair_index: HashMap<(ProbeId, Ipv4), PairId>,
     initial: Vec<Option<CanonicalPath>>,
     last: Vec<Option<CanonicalPath>>,
     last_version: Option<u64>,
@@ -45,22 +44,11 @@ impl GroundTruthTracker {
     pub fn new(world: &World, pairs: Vec<(ProbeId, Ipv4)>) -> Self {
         let initial: Vec<Option<CanonicalPath>> =
             pairs.iter().map(|&(p, d)| world.ground_truth(p, d)).collect();
-        let pair_index = pairs.iter().enumerate().map(|(i, k)| (*k, PairId(i as u32))).collect();
-        GroundTruthTracker {
-            last: initial.clone(),
-            initial,
-            pairs,
-            pair_index,
-            last_version: Some(0),
-        }
+        GroundTruthTracker { last: initial.clone(), initial, pairs, last_version: Some(0) }
     }
 
     pub fn pairs(&self) -> &[(ProbeId, Ipv4)] {
         &self.pairs
-    }
-
-    pub fn pair_id(&self, probe: ProbeId, dst: Ipv4) -> Option<PairId> {
-        self.pair_index.get(&(probe, dst)).copied()
     }
 
     /// Re-derives every pair's canonical path and reports changes since the

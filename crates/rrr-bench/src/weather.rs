@@ -249,11 +249,6 @@ impl WeatherWorld {
         self.by_prefix.get(&prefix).copied()
     }
 
-    /// The destination prefix of corpus entry `ci`.
-    pub fn corpus_prefix(&self, ci: usize) -> Prefix {
-        self.topo.dst_prefix(self.corpus[ci])
-    }
-
     /// Materialized provider chains so far — the laziness witness.
     pub fn materialized_chains(&self) -> usize {
         self.topo.materialized_chains()
@@ -504,8 +499,8 @@ impl WeatherWorld {
     }
 
     /// Builds a fresh, fully seeded detector for this world. Identical
-    /// across calls with the same arguments (the world's caches only
-    /// memoize pure derivations).
+    /// across calls (the world's caches only memoize pure derivations).
+    /// `threads` only fills the ignored [`DetectorConfig::threads`].
     pub fn build_detector(&mut self, threads: usize) -> StalenessDetector {
         let (topo, map, geo, alias) = self.detector_env();
         let vps: Vec<VpId> = (0..self.scale.vps).map(VpId).collect();

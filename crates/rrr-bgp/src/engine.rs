@@ -107,9 +107,6 @@ impl Engine {
     pub fn topo(&self) -> &Topology {
         &self.topo
     }
-    pub fn topo_arc(&self) -> Arc<Topology> {
-        Arc::clone(&self.topo)
-    }
     pub fn state(&self) -> &NetState {
         &self.state
     }
@@ -132,11 +129,6 @@ impl Engine {
     /// State version: incremented once per applied event.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Current attributes of a VP's route toward an origin.
-    pub fn vp_attrs(&self, vp: VpId, origin: AsIdx) -> Option<&RouteAttrs> {
-        self.last_attrs[vp.index()][origin.index()].as_ref()
     }
 
     /// The initial RIB as a set of announce records (a TABLE_DUMP analogue)

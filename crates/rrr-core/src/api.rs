@@ -44,19 +44,6 @@ impl DetectorBuilder {
         self
     }
 
-    /// Worker threads for per-window monitor evaluation (`0` = one per
-    /// core). The signal stream is identical at any setting.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
-    /// Calibration sliding-window length `l` (§4.3.1; default 30).
-    pub fn calibration_window(mut self, l: usize) -> Self {
-        self.cfg.calibration_l = l;
-        self
-    }
-
     /// Enabled techniques (ablations disable some).
     pub fn techniques(mut self, enabled: impl IntoIterator<Item = Technique>) -> Self {
         self.cfg.enabled = enabled.into_iter().collect();

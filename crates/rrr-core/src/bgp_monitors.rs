@@ -3,17 +3,15 @@
 //!
 //! All three share a per-(destination prefix, traceroute AS path) monitor
 //! group, registered when a corpus traceroute is inserted. The engine feeds
-//! updates either one at a time ([`BgpMonitors::observe`]) or in batches
-//! ([`BgpMonitors::observe_batch`]); at the end of each 15-minute window
-//! ([`BgpMonitors::close_window`]) the time series advance and signals fire.
+//! updates one at a time ([`BgpMonitors::observe`]); at the end of each
+//! 15-minute window ([`BgpMonitors::close_window`]) the time series advance
+//! and signals fire. Both run on the calling thread.
 //!
 //! Ingestion state is partitioned into `NUM_SHARDS` (32) prefix shards, each
 //! owning its slice of the RIB mirror, the open-window sample log, and the
 //! intern arenas for AS paths and community sets. A shard is fully
-//! determined by an update's prefix, and monitor groups are read-only while
-//! updates flow, so [`BgpMonitors::observe_batch`] can fan shards across
-//! scoped worker threads without locks and still produce bit-identical
-//! state to the serial loop.
+//! determined by an update's prefix. The shards are the checkpoint layout:
+//! each one's section and its arenas' dense ids are stored as they are.
 //!
 //! Window closes are *churn-proportional*: window samples exist only for
 //! monitored prefixes, so the sample keys taken at close time name exactly
@@ -24,7 +22,7 @@
 //! entirely, and the deferred windows are replayed in closed form
 //! ([`MonitoredSeries::advance_constant`]) when input returns. The emitted
 //! signal/revocation streams and the materialized state are bit-identical
-//! to the full scan at any thread count.
+//! to the full scan.
 
 use crate::signal::{KeyInterner, SignalKey, SignalScope, StalenessSignal, Technique};
 use rrr_anomaly::{BitmapDetector, MonitoredSeries, SeriesVerdict};
@@ -45,27 +43,9 @@ type RibDeltaOps = Vec<((VpId, Prefix), Option<(PathId, CommsId)>)>;
 /// Canonically serialized monitor groups: (key bytes, group bytes) pairs.
 type CanonicalGroupBytes = Vec<(Vec<u8>, Vec<u8>)>;
 
-/// Number of ingestion shards. Fixed (not tied to the worker count) so the
-/// sharded state layout — and therefore every id comparison — is identical
-/// at any thread count.
+/// Number of ingestion shards. Part of the checkpoint layout: every shard is
+/// stored as its own section, and its arena ids are dense per shard.
 const NUM_SHARDS: usize = 32;
-
-/// Batches smaller than this are fed serially even when workers are
-/// configured: thread spawn overhead would dominate.
-const MIN_PAR_UPDATES: usize = 256;
-
-/// Closes with fewer awake groups than this run serially even when workers
-/// are configured. Forking and joining two idle scoped workers takes 25 µs
-/// at the median on the 2-thread recording host (2 ms at p99 once the feed
-/// and query threads hold both cores, which is when a daemon closes
-/// windows), and a group closes in 2–6 µs, so a few dozen groups would pay
-/// for the fork alone — but the workers then wait for the same two cores.
-/// Measured: the sparse inputs wake 58–177 groups a close and ran it slower
-/// threaded (0.26 vs 0.21 ms a close, `.tN` 3.7–4.2 vs `.t1` 2.8–3.0 µs an
-/// item on `replay_sparse_durable`); a dense close wakes every group of the
-/// corpus (384 and up) and is faster threaded (`.tN` 1.3 vs `.t1` 1.5 µs).
-/// The floor sits between the two.
-const MIN_PAR_GROUPS: usize = 256;
 
 /// The shard owning a prefix: a fixed multiplicative hash, deterministic
 /// across runs (unlike `HashMap`'s seeded hasher).
@@ -283,7 +263,7 @@ impl OpenWindow {
 /// prefixes hashing to it. Everything [`BgpMonitors::observe`] writes lives
 /// here, and every cross-vantage-point read during ingestion (§4.1.3's
 /// guard 2, duplicate detection) stays within the update's own prefix —
-/// hence within one shard — so shards never contend.
+/// hence within one shard.
 #[derive(Debug, Default)]
 struct IngestShard {
     /// RIB mirror partition: interned (path, communities) per (vp, prefix).
@@ -350,9 +330,6 @@ pub struct BgpMonitors {
     /// `ParkState::since` is measured against. Persisted so parked groups
     /// survive a checkpoint/restore cycle.
     closes: u64,
-    /// Worker threads for `observe_batch` / `close_window` (≤ 1 selects
-    /// the serial path).
-    threads: usize,
     /// Runtime switch for the incremental (parked) close path; disabling
     /// it materializes all deferred state and reverts to the full scan.
     park_enabled: bool,
@@ -381,19 +358,10 @@ impl BgpMonitors {
             interner: KeyInterner::new(),
             groups_of: HashMap::new(),
             closes: 0,
-            threads: 1,
             park_enabled: true,
             delta_groups: BTreeSet::new(),
             delta_reg: false,
         }
-    }
-
-    /// Sets the worker count for [`BgpMonitors::observe_batch`] and
-    /// [`BgpMonitors::close_window`]. Values ≤ 1 select the serial paths;
-    /// the emitted signal stream and all internal state are identical at
-    /// any thread count.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Enables or disables the incremental (parked) close path. Disabling
@@ -678,45 +646,6 @@ impl BgpMonitors {
         );
     }
 
-    /// Feeds a batch of updates, partitioned by prefix shard across the
-    /// configured worker threads. Per-shard update order follows batch
-    /// order, all state an update touches lives in its prefix's shard, and
-    /// monitor groups are read-only during ingestion — so the resulting
-    /// RIB mirror, window samples, and pending signals are bit-identical
-    /// to feeding the same slice through [`BgpMonitors::observe`] one
-    /// update at a time, at any thread count.
-    pub fn observe_batch(&mut self, updates: &[BgpUpdate]) {
-        if self.threads <= 1 || updates.len() < MIN_PAR_UPDATES {
-            for u in updates {
-                self.observe(u);
-            }
-            return;
-        }
-        let mut buckets: Vec<Vec<&BgpUpdate>> = (0..NUM_SHARDS).map(|_| Vec::new()).collect();
-        for u in updates {
-            buckets[shard_of(u.prefix)].push(u);
-        }
-        let groups = &self.groups;
-        let by_prefix = &self.by_prefix;
-        let strip_asns = &self.strip_asns;
-        let per = NUM_SHARDS.div_ceil(self.threads.min(NUM_SHARDS));
-        std::thread::scope(|s| {
-            for (shard_chunk, bucket_chunk) in self.shards.chunks_mut(per).zip(buckets.chunks(per))
-            {
-                if bucket_chunk.iter().all(|b| b.is_empty()) {
-                    continue;
-                }
-                s.spawn(move || {
-                    for (shard, bucket) in shard_chunk.iter_mut().zip(bucket_chunk) {
-                        for u in bucket {
-                            shard_observe(shard, groups, by_prefix, strip_asns, u);
-                        }
-                    }
-                });
-            }
-        });
-    }
-
     /// Test/diagnostic view of the RIB mirror with interned handles
     /// resolved to owned values.
     pub fn rib_snapshot(&self) -> BTreeMap<(VpId, Prefix), (AsPath, Vec<Community>)> {
@@ -751,17 +680,11 @@ impl BgpMonitors {
     /// Closes the current window: advances all series, emits signals and
     /// revocations in deterministic group order. `comm_allowed` filters
     /// communities through the calibration pruning of Appendix B.
-    ///
-    /// With [`BgpMonitors::set_threads`] > 1 the monitor groups — each one
-    /// ⟨destination prefix, AS path⟩ shard — are split across scoped worker
-    /// threads, and per-shard outputs are concatenated in shard order.
-    /// `BTreeMap` iteration is sorted, so the emitted stream is
-    /// bit-identical to the serial path.
     pub fn close_window(
         &mut self,
         window: Window,
         time: Timestamp,
-        comm_allowed: &(dyn Fn(Community, Prefix) -> bool + Sync),
+        comm_allowed: &dyn Fn(Community, Prefix) -> bool,
     ) -> (Vec<StalenessSignal>, Vec<RevokeEvent>) {
         // Fold the shards' pending §4.1.3 changes into their groups. Each
         // group is owned by exactly one shard (its prefix's), so per-group
@@ -814,45 +737,17 @@ impl BgpMonitors {
         // is not something the dirty set knows, so this one scan stays.)
         let mut signals = Vec::new();
         let mut revokes = Vec::new();
-        let mut work: Vec<&mut Group> =
-            self.groups.values_mut().filter(|g| g.park.is_none()).collect();
-        if self.threads <= 1 || work.len() < MIN_PAR_GROUPS {
-            for g in work.iter_mut() {
-                close_group(g, &ctx, &mut signals, &mut revokes);
-            }
-        } else {
-            let per = work.len().div_ceil(self.threads);
-            let ctx = &ctx;
-            let outs: Vec<(Vec<StalenessSignal>, Vec<RevokeEvent>)> = std::thread::scope(|s| {
-                let handles: Vec<_> = work
-                    .chunks_mut(per)
-                    .map(|chunk| {
-                        s.spawn(move || {
-                            let mut sig = Vec::new();
-                            let mut rev = Vec::new();
-                            for g in chunk.iter_mut() {
-                                close_group(g, ctx, &mut sig, &mut rev);
-                            }
-                            (sig, rev)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("window shard worker")).collect()
-            });
-            for (s, r) in outs {
-                signals.extend(s);
-                revokes.extend(r);
-            }
-        }
-        self.closes += 1;
-        // Every group evaluated this close — including those that parked at
-        // its end — mutated series state; record it for delta checkpoints.
-        // Between two cuts all but the first close find the key there.
-        for g in &work {
+        for g in self.groups.values_mut().filter(|g| g.park.is_none()) {
+            close_group(g, &ctx, &mut signals, &mut revokes);
+            // Every group evaluated this close — including one that parked
+            // at its end — mutated series state; record it for delta
+            // checkpoints. Between two cuts all but the first close find the
+            // key there.
             if !self.delta_groups.contains(&g.key) {
                 self.delta_groups.insert(g.key.clone());
             }
         }
+        self.closes += 1;
         (signals, revokes)
     }
 
@@ -1022,11 +917,9 @@ impl BgpMonitors {
     }
 }
 
-/// Per-update ingestion core, operating on the update's prefix shard. The
-/// serial [`BgpMonitors::observe`] and sharded [`BgpMonitors::observe_batch`]
-/// paths both funnel through this function; it only writes shard-owned
-/// state and only reads the (frozen-during-ingestion) monitor groups, which
-/// is what makes the batch path embarrassingly parallel.
+/// Per-update ingestion core of [`BgpMonitors::observe`], operating on the
+/// update's prefix shard: it writes only shard-owned state and only reads
+/// the monitor groups.
 fn shard_observe(
     shard: &mut IngestShard,
     groups: &BTreeMap<GroupKey, Group>,
@@ -1100,7 +993,7 @@ fn shard_observe(
 /// other VPs' routes from the shard's RIB partition (this VP's pre-update
 /// route comes in as `old`) and the group's registration-time state, and
 /// records changes into the shard's pending buffer — the group
-/// itself is untouched, keeping ingestion lock-free across shards.
+/// itself is untouched until the window closes.
 fn detect_comm_change(
     shard: &mut IngestShard,
     groups: &BTreeMap<GroupKey, Group>,
@@ -1168,8 +1061,8 @@ fn detect_comm_change(
     }
 }
 
-/// Read-only context shared by every worker while one window closes.
-/// Lookups route through the prefix-shard layout: the RIB mirror and the
+/// Read-only context every group reads while one window closes. Lookups
+/// route through the prefix-shard layout: the RIB mirror and the
 /// taken window samples are both per-shard, and interned path ids resolve
 /// against the owning shard's arena.
 struct CloseCtx<'a> {
@@ -1179,7 +1072,7 @@ struct CloseCtx<'a> {
     shards: &'a [IngestShard],
     /// The closing window's rows, per shard and prefix.
     samples: &'a [FastMap<Prefix, PrefixRows>],
-    comm_allowed: &'a (dyn Fn(Community, Prefix) -> bool + Sync),
+    comm_allowed: &'a dyn Fn(Community, Prefix) -> bool,
     /// Whether quiet groups may cache values and park.
     park: bool,
     /// Close counter value this close will commit as.
@@ -1243,10 +1136,7 @@ fn group_inert(g: &Group, det: &BitmapDetector) -> bool {
 }
 
 /// Advances every series of one monitor group for the closing window,
-/// appending signals and revocations in deterministic monitor order. The
-/// serial and sharded paths of [`BgpMonitors::close_window`] both funnel
-/// through this function, so the emitted stream is identical at any
-/// thread count.
+/// appending signals and revocations in deterministic monitor order.
 fn close_group(
     g: &mut Group,
     ctx: &CloseCtx<'_>,
@@ -1672,8 +1562,9 @@ impl Persist for IngestShard {
     }
 }
 
-// The worker count is runtime configuration, not state: it is re-applied via
-// [`BgpMonitors::set_threads`] after load. Monitor keys are re-interned
+// The incremental-close switch is runtime configuration, not state: it is
+// re-applied via [`BgpMonitors::set_incremental`] after load. Monitor keys are
+// re-interned
 // through the restored interner so every monitor shares the canonical `Arc`
 // again instead of holding a private deserialized copy.
 impl Persist for BgpMonitors {
@@ -1708,7 +1599,6 @@ impl Persist for BgpMonitors {
             interner: Persist::load(d)?,
             groups_of: Persist::load(d)?,
             closes: Persist::load(d)?,
-            threads: 1,
             park_enabled: true,
             delta_groups,
             delta_reg: true,
@@ -1971,64 +1861,6 @@ mod tests {
             shard.reference = reference;
         }
         m
-    }
-
-    /// The group-count floor keeps the small worlds of the other suites on
-    /// the serial close, so the threaded one gets a world of its own: more
-    /// awake groups than the floor, every one fed every window, closed at 1
-    /// and at 3 workers with the same signals, revocations and state bytes.
-    #[test]
-    fn threaded_close_above_the_floor_matches_serial() {
-        let groups = MIN_PAR_GROUPS as u32 + 37;
-        let prefix = |g: u32| format!("10.{}.{}.0/24", g / 256, g % 256);
-        let build = |threads: usize| {
-            let mut m = BgpMonitors::new(vec![], BitmapDetector::spike());
-            let mut rib = Vec::new();
-            for g in 0..groups {
-                for vp in 0..3u32 {
-                    rib.push(announce(vp, &prefix(g), &[90 + vp, 20, 30], &[(20, 50_001)], 0));
-                }
-            }
-            m.init_rib(&rib);
-            let vps: Vec<VpId> = (0..3).map(VpId).collect();
-            for g in 0..groups {
-                m.register(TracerouteId(u64::from(g)), pfx(&prefix(g)), &asns(TAU), &vps);
-            }
-            m.set_threads(threads);
-            m
-        };
-        let (mut serial, mut threaded) = (build(1), build(3));
-        let mut emitted = 0;
-        for w in 0..30u64 {
-            for g in 0..groups {
-                // Re-announcements everywhere (so no group parks), and from
-                // window 22 a rotating tenth of the groups shifts path on
-                // two VPs, or sends a burst of duplicates.
-                let hit = w >= 22 && (g + w as u32) % 10 == 3;
-                for vp in 0..3u32 {
-                    let path: &[u32] = if hit && vp < 2 && g % 2 == 0 {
-                        &[90 + vp, 20, 55, 30]
-                    } else {
-                        &[90 + vp, 20, 30]
-                    };
-                    let copies = if hit && g % 2 == 1 { 3 } else { 1 };
-                    for c in 0..copies {
-                        let u = announce(vp, &prefix(g), path, &[(20, 50_001)], w * 900 + c);
-                        serial.observe(&u);
-                        threaded.observe(&u);
-                    }
-                }
-            }
-            let a = serial.close_window(Window(w), Timestamp((w + 1) * 900), &|_, _| true);
-            let b = threaded.close_window(Window(w), Timestamp((w + 1) * 900), &|_, _| true);
-            emitted += a.0.len() + a.1.len();
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "window {w}");
-        }
-        assert!(emitted > 0, "the world must make the close emit something");
-        assert_eq!(
-            rrr_store::to_payload(&serial).expect("encode"),
-            rrr_store::to_payload(&threaded).expect("encode")
-        );
     }
 
     mod equivalence {

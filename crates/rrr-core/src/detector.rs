@@ -40,17 +40,14 @@ pub struct DetectorConfig {
     /// Ablation: absorb outliers into series histories instead of removing
     /// them (disables §4.1.2's stationarity preservation).
     pub absorb_outliers: bool,
-    /// Worker threads for the BGP side: the per-window monitor evaluation
-    /// (window close) and the sharded `observe_batch`. `0` = one per
-    /// available core; `1` = serial. The traceroute side takes no threads:
-    /// its flush visits only the few series that are due. The signal stream
-    /// is identical at any setting.
+    /// Ignored: the detector steps on the thread that calls it. Kept so
+    /// callers that still set it compile; not in the checkpoint fingerprint.
     pub threads: usize,
     /// Dirty-set incremental window close: groups whose series are provably
     /// inert under quiet input are parked and caught up lazily, so close
     /// cost scales with churn instead of corpus size. The signal stream is
     /// identical at any setting (runtime tuning, not state — excluded from
-    /// the checkpoint fingerprint, like `threads`).
+    /// the checkpoint fingerprint).
     pub incremental_close: bool,
 }
 
@@ -80,7 +77,6 @@ pub(crate) struct DetectorObs {
     enabled: bool,
     steps: Counter,
     bgp_updates: Counter,
-    observe_batches: Counter,
     public_traces: Counter,
     signals: Counter,
     windows_closed: Counter,
@@ -103,7 +99,6 @@ impl DetectorObs {
             enabled: m.is_enabled(),
             steps: m.counter(&labeled("rrr_detector_steps_total", labels)),
             bgp_updates: m.counter(&labeled("rrr_detector_bgp_updates_total", labels)),
-            observe_batches: m.counter(&labeled("rrr_detector_observe_batches_total", labels)),
             public_traces: m.counter(&labeled("rrr_detector_public_traces_total", labels)),
             signals: m.counter(&labeled("rrr_detector_signals_total", labels)),
             windows_closed: m.counter(&labeled("rrr_detector_bgp_windows_closed_total", labels)),
@@ -159,7 +154,7 @@ pub struct StalenessDetector {
     clean_membership_gen: u64,
     /// Transient: metric handles (no-ops unless `set_metrics` installed an
     /// enabled registry). Excluded from checkpoints and the config
-    /// fingerprint, like `threads`.
+    /// fingerprint.
     pub(crate) obs: DetectorObs,
 }
 
@@ -174,9 +169,7 @@ impl StalenessDetector {
     ) -> Self {
         let strip = topo.registry.route_server_asns.clone();
         let ixp = IxpMonitor::new(&topo);
-        let threads = resolve_threads(&cfg);
         let mut bgp = BgpMonitors::new_with(strip, cfg.bgp_detector, cfg.absorb_outliers);
-        bgp.set_threads(threads);
         bgp.set_incremental(cfg.incremental_close);
         let trace = TraceMonitors::new_with(cfg.trace_detector, cfg.absorb_outliers);
         StalenessDetector {
@@ -239,13 +232,6 @@ impl StalenessDetector {
     /// [`crate::persist::DurableDetector`].
     pub fn closed_bgp_windows(&self) -> u64 {
         self.next_bgp_window.index()
-    }
-
-    /// Overrides the worker count of the BGP window close and
-    /// `observe_batch` (bench/test toggle); nothing on the traceroute side
-    /// is threaded. The signal stream is identical at any setting.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.bgp.set_threads(threads);
     }
 
     fn enabled(&self, t: Technique) -> bool {
@@ -380,22 +366,13 @@ impl StalenessDetector {
         self.obs.public_traces.add(public.len() as u64);
 
         // --- BGP stream, window by window ---
-        // Updates are chunked into maximal same-window runs and fed through
-        // the sharded batch path; windows close between chunks exactly
-        // where the serial per-update loop would close them.
-        let mut i = 0;
-        while i < bgp_updates.len() {
-            let w = self.cfg.bgp_window.window_of(bgp_updates[i].time);
+        // Each window closes before the first update past its end lands.
+        for u in bgp_updates {
+            let w = self.cfg.bgp_window.window_of(u.time);
             while self.next_bgp_window < w {
                 self.close_bgp_window(&mut signals, &mut revokes);
             }
-            let mut j = i + 1;
-            while j < bgp_updates.len() && self.cfg.bgp_window.window_of(bgp_updates[j].time) == w {
-                j += 1;
-            }
-            self.bgp.observe_batch(&bgp_updates[i..j]);
-            self.obs.observe_batches.inc();
-            i = j;
+            self.bgp.observe(u);
         }
         while self.cfg.bgp_window.bounds(self.next_bgp_window).1 <= now {
             self.close_bgp_window(&mut signals, &mut revokes);
@@ -631,8 +608,7 @@ impl StalenessDetector {
     /// the signal log — as one framed [`rrr_store`] checkpoint.
     ///
     /// [`StalenessDetector::restore`] rebuilds a detector from it that
-    /// continues the exact same signal stream as the original, at any
-    /// worker-thread count.
+    /// continues the exact same signal stream as the original.
     pub fn checkpoint<W: std::io::Write>(&self, w: W) -> Result<(), StoreError> {
         write_snapshot(w, FrameKind::Full, &self.encode_full_payload()?).map(drop)
     }
@@ -848,7 +824,7 @@ impl StalenessDetector {
     /// detector state — and `cfg` must describe the same pipeline the
     /// checkpoint was taken from: a mismatch in any behavioral knob returns
     /// [`StoreError::ConfigMismatch`] rather than silently continuing with
-    /// different semantics. The worker-thread count is the one exception
+    /// different semantics. `incremental_close` is the one exception
     /// (runtime tuning, not state): it is taken from `cfg` as-is.
     pub fn restore<R: std::io::Read>(
         r: R,
@@ -883,8 +859,6 @@ impl StalenessDetector {
         if d.offset() != payload.len() {
             return Err(StoreError::TrailingData { remaining: payload.len() - d.offset() });
         }
-        let threads = resolve_threads(&cfg);
-        bgp.set_threads(threads);
         bgp.set_incremental(cfg.incremental_close);
         let mut det = StalenessDetector {
             cfg,
@@ -916,18 +890,10 @@ impl StalenessDetector {
     }
 }
 
-/// The worker count a configuration selects (`0` = one per core).
-fn resolve_threads(cfg: &DetectorConfig) -> usize {
-    if cfg.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        cfg.threads
-    }
-}
-
 /// Canonical encoding of every configuration facet that changes pipeline
-/// behavior. Stored in the checkpoint and compared on restore; the worker
-/// count is excluded (the signal stream is identical at any setting).
+/// behavior. Stored in the checkpoint and compared on restore;
+/// `incremental_close` and the ignored `threads` are excluded (the signal
+/// stream is identical at any setting).
 pub(crate) fn cfg_fingerprint(cfg: &DetectorConfig) -> Result<Vec<u8>, StoreError> {
     let mut buf = Vec::new();
     let mut e = Encoder::new(&mut buf);

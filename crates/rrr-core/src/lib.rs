@@ -20,10 +20,10 @@
 //!
 //! [`persist`] adds crash-safe operation on top: versioned full-state
 //! checkpoints plus a write-ahead log of raw step inputs, replayed
-//! deterministically on restart. [`partition`] is the measured in-memory
-//! alternative to the detector's worker threads: N cooperating instances
-//! over contiguous key ranges whose merged output is bit-identical to a
-//! single instance.
+//! deterministically on restart. The detector steps on the thread that
+//! calls it; [`partition`] is a measured in-memory comparison point: N
+//! cooperating instances over contiguous key ranges, stepped on scoped
+//! threads, whose merged output is bit-identical to a single instance.
 
 pub mod adaptive;
 pub mod api;

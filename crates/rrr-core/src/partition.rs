@@ -6,12 +6,12 @@
 //!
 //! # What this is, and is not
 //!
-//! An in-memory *alternative* to the detector's own worker threads, kept
-//! as a measured comparison point — not a deployment. The end-to-end
-//! benchmark (`crates/rrr-perf`, README "Findings") steps one item of its
-//! dense BGP input in 1.65–2.02 µs with the shared `threads` worker count
-//! (in-close chunking + sharded `observe_batch`), 2.06–2.36 µs serial and
-//! 2.34–2.84 µs over two partitions; on the mixed traceroute input two
+//! An in-memory way to run one detector on several threads, kept as a
+//! measured comparison point — not a deployment. The end-to-end benchmark
+//! (`crates/rrr-perf`, README "Findings") stepped one item of its dense BGP
+//! input in 2.06–2.36 µs serial and 2.34–2.84 µs over two partitions (the
+//! detector's own worker threads, since removed for earning nothing, read
+//! 1.65–2.02 µs then); on the mixed traceroute input two
 //! partitions cost 16.4 µs an item against 8.9 µs serial. The loss is
 //! structural: the §4.2 traceroute and IXP monitors are corpus-global, so
 //! every public traceroute and every trace-monitor registration is
@@ -468,13 +468,6 @@ impl PartitionedDetector {
     /// partition). The merged output is identical at any setting.
     pub fn set_parallel(&mut self, parallel: bool) {
         self.parallel = parallel;
-    }
-
-    /// Overrides the per-window worker count inside every partition.
-    pub fn set_threads(&mut self, threads: usize) {
-        for p in &mut self.parts {
-            p.set_threads(threads);
-        }
     }
 
     /// Routes a RIB table dump by prefix.

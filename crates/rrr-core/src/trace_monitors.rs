@@ -467,11 +467,6 @@ impl TraceMonitors {
         self.borders.len()
     }
 
-    /// Number of distinct interned signal keys (for tests/stats).
-    pub fn interned_keys(&self) -> usize {
-        self.interner.len()
-    }
-
     /// Serializes only the state changed since the last full snapshot:
     /// the registration pack (when membership changed), dirty monitors by
     /// index, and the patcher (when it learned). Monitor indices are
@@ -925,7 +920,7 @@ mod tests {
             Geolocator::new(db, vec![]),
             alias,
             vec![VpId(0)],
-            DetectorConfig { threads: 1, ..DetectorConfig::default() },
+            DetectorConfig::default(),
         );
         // The corpus path enters AS 102 from AS 105 over the IXP LAN, an
         // unmapped hop before the LAN address.

@@ -4,8 +4,9 @@
 //! Design (after the flashroute.rs reproduction's idiom): no locks on the
 //! hot path — each feed hands batches over its own **rendezvous** channel
 //! (a send completes only when the merge loop takes the batch), and the
-//! single ingest thread owns the detector outright. The only shared mutable
-//! state is the snapshot cell's pointer and a few atomic counters.
+//! single ingest thread owns the detector outright and steps it on that
+//! thread. The only shared mutable state is the snapshot cell's pointer and
+//! the metrics registry's atomics.
 //!
 //! ## Hand-off
 //!
@@ -32,11 +33,10 @@
 //! which is what the serial-replay oracle checks.
 
 use crate::feed::{canonical_sort, canonicalize, FeedBatch, FeedSource};
-use crate::snapshot::{ServeHandle, ServeStats, SnapshotCell};
+use crate::snapshot::{ServeHandle, SnapshotCell};
 use rrr_core::{DetectorSnapshot, DurableDetector, Query, StalenessDetector, StalenessSignal};
 use rrr_obs::{labeled, Counter, Gauge, Histogram, Metrics};
 use rrr_types::Error;
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -44,10 +44,9 @@ use std::thread::JoinHandle;
 /// The detector the daemon steps: bare, or wrapped in crash-safe
 /// persistence (WAL + periodic checkpoints). Queries never see the
 /// difference: either way the published snapshot is the wrapped
-/// [`StalenessDetector`]'s. Parallelism inside a step is that detector's
-/// `threads` setting and nothing else — range partitions
-/// ([`rrr_core::partition`]) measured slower than it on every benchmarked
-/// input, so there is no partitioned arm.
+/// [`StalenessDetector`]'s. A step runs on the ingest thread alone — range
+/// partitions ([`rrr_core::partition`]) measured slower than one serial
+/// detector on every benchmarked input, so there is no partitioned arm.
 // One Engine exists per daemon and it is moved once, into the ingest
 // thread — the variant-size spread has no per-item or per-copy cost
 // worth an indirection on every detector access.
@@ -219,8 +218,7 @@ impl Daemon {
     pub fn spawn(mut engine: Engine, feeds: Vec<Box<dyn FeedSource>>, cfg: DaemonConfig) -> Daemon {
         engine.set_metrics(&cfg.metrics);
         let cell = Arc::new(SnapshotCell::new(Arc::new(engine.snapshot())));
-        let stats = Arc::new(ServeStats::default());
-        let handle = ServeHandle::new(Arc::clone(&cell), Arc::clone(&stats), cfg.metrics.clone());
+        let handle = ServeHandle::new(Arc::clone(&cell), cfg.metrics.clone());
 
         let mut feed_threads = Vec::with_capacity(feeds.len());
         let mut rxs: Vec<Receiver<FeedMsg>> = Vec::with_capacity(feeds.len());
@@ -257,7 +255,7 @@ impl Daemon {
         let ingest_obs = IngestObs::new(&cfg.metrics);
         let ingest = std::thread::Builder::new()
             .name("rrr-ingest".into())
-            .spawn(move || ingest_loop(engine, rxs, cell, stats, cfg.record_snapshots, ingest_obs))
+            .spawn(move || ingest_loop(engine, rxs, cell, cfg.record_snapshots, ingest_obs))
             .expect("spawn ingest thread");
 
         Daemon { handle, ingest, feeds: feed_threads }
@@ -284,7 +282,6 @@ fn ingest_loop(
     mut engine: Engine,
     rxs: Vec<Receiver<FeedMsg>>,
     cell: Arc<SnapshotCell>,
-    stats: Arc<ServeStats>,
     record_snapshots: bool,
     obs: IngestObs,
 ) -> Result<IngestReport, Error> {
@@ -329,9 +326,6 @@ fn ingest_loop(
         updates += merged.updates.len() as u64;
         public += merged.public.len() as u64;
         rounds += 1;
-        stats.updates.fetch_add(merged.updates.len() as u64, Ordering::Relaxed);
-        stats.public.fetch_add(merged.public.len() as u64, Ordering::Relaxed);
-        stats.rounds.fetch_add(1, Ordering::Relaxed);
         obs.rounds.inc();
         obs.updates.add(merged.updates.len() as u64);
         obs.public.add(merged.public.len() as u64);
@@ -351,7 +345,6 @@ fn ingest_loop(
             prev = Arc::clone(&snap);
             cell.publish(Arc::clone(&snap));
             drop(publish_span);
-            stats.snapshots.fetch_add(1, Ordering::Relaxed);
             obs.snapshots.inc();
             obs.publish_epoch.set(epoch as i64);
             published = epoch;
@@ -492,7 +485,6 @@ mod tests {
             }
             // The handle keeps serving the last published snapshot.
             assert_eq!(handle.epoch(), reference.last().expect("nonempty").epoch());
-            assert_eq!(handle.stats().rounds.load(Ordering::Relaxed), report.rounds);
         }
     }
 

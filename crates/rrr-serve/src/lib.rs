@@ -35,5 +35,5 @@ pub use feed::{
     canonical_sort, canonicalize, split_rounds, FeedBatch, FeedSource, MrtFeed, ScriptedFeed,
 };
 pub use query::{answer, QueryResponse, ResponseBody, StalenessQuery};
-pub use snapshot::{ServeHandle, ServeStats, SnapshotCell};
+pub use snapshot::{ServeHandle, SnapshotCell};
 pub use tcp::TcpServer;

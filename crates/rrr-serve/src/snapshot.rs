@@ -54,22 +54,6 @@ impl SnapshotCell {
     }
 }
 
-/// Counters the daemon maintains for observability; all monotone, all
-/// readable while the daemon runs.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Queries answered via [`ServeHandle::query`].
-    pub queries: AtomicU64,
-    /// Merged rounds stepped through the detector.
-    pub rounds: AtomicU64,
-    /// BGP updates ingested.
-    pub updates: AtomicU64,
-    /// Public traceroutes ingested.
-    pub public: AtomicU64,
-    /// Snapshots published (epoch advances observed).
-    pub snapshots: AtomicU64,
-}
-
 /// Per-query-type latency histograms, one series per request shape so
 /// p50/p99 of cheap point lookups are not averaged with plan searches.
 #[derive(Clone, Default)]
@@ -116,15 +100,14 @@ impl QueryObs {
 #[derive(Clone)]
 pub struct ServeHandle {
     cell: Arc<SnapshotCell>,
-    stats: Arc<ServeStats>,
     metrics: Metrics,
     obs: QueryObs,
 }
 
 impl ServeHandle {
-    pub(crate) fn new(cell: Arc<SnapshotCell>, stats: Arc<ServeStats>, metrics: Metrics) -> Self {
+    pub(crate) fn new(cell: Arc<SnapshotCell>, metrics: Metrics) -> Self {
         let obs = QueryObs::new(&metrics);
-        ServeHandle { cell, stats, metrics, obs }
+        ServeHandle { cell, metrics, obs }
     }
 
     /// The currently published snapshot.
@@ -141,7 +124,6 @@ impl ServeHandle {
     /// comes from a single snapshot, so the stamped epoch is exact even if
     /// a publish lands mid-call.
     pub fn query(&self, q: &StalenessQuery) -> QueryResponse {
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
         let _span = self.obs.for_query(q).span();
         // Snapshots carry no registry — the metrics query is answered from
         // the daemon's live registry here, stamped with the current epoch.
@@ -152,11 +134,6 @@ impl ServeHandle {
             };
         }
         answer(&*self.snapshot(), q)
-    }
-
-    /// The daemon's counters.
-    pub fn stats(&self) -> &ServeStats {
-        &self.stats
     }
 
     /// The registry this handle reports into (disabled unless the daemon

@@ -7,11 +7,12 @@
 //! connection handlers never touch the detector and a slow client cannot
 //! stall ingestion.
 //!
-//! A malformed line produces an `{"error": ...}` line and the connection
-//! stays open; EOF from the client closes it. A reply is one `write_all`
-//! of body plus newline on a `TCP_NODELAY` socket: split in two on a Nagle
-//! socket, the newline would wait for the client's delayed ACK (~40 ms a
-//! round trip for a client that sends one request at a time).
+//! A malformed line — including one nested deeper than
+//! [`MAX_DEPTH`](crate::wire::MAX_DEPTH) — produces an `{"error": ...}` line
+//! and the connection stays open; EOF from the client closes it. A reply is
+//! one `write_all` of body plus newline on a `TCP_NODELAY` socket: split in
+//! two on a Nagle socket, the newline would wait for the client's delayed
+//! ACK (~40 ms a round trip for a client that sends one request at a time).
 //! A request is at most [`MAX_REQUEST`] bytes: a line that runs past it
 //! gets one `{"error": ...}` line and the connection is closed, so a client
 //! that never sends a newline cannot grow the daemon. The accept loop drops
@@ -354,6 +355,28 @@ mod tests {
         reply.clear();
         other_replies.read_line(&mut reply).expect("read");
         assert!(reply.contains("corpus_summary") && !reply.contains("\"error\""), "{reply}");
+        server.shutdown();
+        daemon.join().expect("drained");
+    }
+
+    #[test]
+    fn deeply_nested_request_gets_an_error_line_and_the_server_lives_on() {
+        let (daemon, mut server) = idle_server();
+        let mut client = TcpStream::connect(server.addr()).expect("connect");
+        let mut line = "[".repeat(10_000);
+        line.push('\n');
+        client.write_all(line.as_bytes()).expect("send");
+        client.shutdown(Shutdown::Write).expect("half-close");
+        let replies: Vec<String> =
+            BufReader::new(client).lines().map(|l| l.expect("read")).collect();
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        assert!(replies[0].contains("\"error\"") && replies[0].contains("nesting"), "{replies:?}");
+
+        let mut next = TcpStream::connect(server.addr()).expect("connect");
+        next.write_all(b"{\"query\":\"monitor_stats\"}\n").expect("send");
+        let mut reply = String::new();
+        BufReader::new(&next).read_line(&mut reply).expect("read");
+        assert!(reply.contains("monitor_stats"), "{reply}");
         server.shutdown();
         daemon.join().expect("drained");
     }

@@ -40,10 +40,17 @@ use serde_json::{Map, Value};
 // JSON parsing (requests)
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting of arrays and objects [`parse_json`] accepts. The parser
+/// recurses once per level, so without a cap a line of `[`s well inside
+/// `MAX_REQUEST` overflows a handler thread's stack and aborts the process;
+/// no document the workspace reads nests more than a few levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document (object, array, or scalar). Trailing
-/// whitespace is allowed; trailing garbage is an error.
+/// whitespace is allowed; trailing garbage, and nesting past
+/// [`MAX_DEPTH`], are errors.
 pub fn parse_json(input: &str) -> Result<Value, Error> {
-    let mut p = Parser { b: input.as_bytes(), i: 0 };
+    let mut p = Parser { b: input.as_bytes(), i: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -56,6 +63,8 @@ pub fn parse_json(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -104,8 +113,18 @@ impl Parser<'_> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => Ok(Value::String(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            c @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::protocol(format!(
+                        "nesting deeper than {MAX_DEPTH} at offset {}",
+                        self.i
+                    )));
+                }
+                self.depth += 1;
+                let v = if c == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             b'-' | b'0'..=b'9' => self.number(),
             c => Err(Error::protocol(format!("unexpected '{}' at offset {}", c as char, self.i))),
         }
@@ -551,6 +570,20 @@ mod tests {
         for text in ["", "{", "[1,]", "nul", r#"{"a" 1}"#, "1 2", r#""unterminated"#] {
             assert!(parse_json(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_is() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse_json(&objects).is_err());
+        // Unclosed, on a thread with the default stack — what a TCP handler
+        // runs on. Uncapped, this overflows it and aborts the process.
+        let line = "[".repeat(65_000);
+        let rejected = std::thread::spawn(move || parse_json(&line).is_err());
+        assert!(rejected.join().expect("parser thread"));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! window-close, or snapshot-publication counters fail the run.
 //!
 //! ```text
-//! serve_run [--file PATH] [--feeds N] [--queries N] [--threads N] [--tcp] [--metrics]
+//! serve_run [--file PATH] [--feeds N] [--queries N] [--tcp] [--metrics]
 //! ```
 
 use rrr_core::{Metrics, Query};
@@ -34,15 +34,12 @@ struct Args {
     file: PathBuf,
     feeds: usize,
     queries: u64,
-    threads: usize,
     tcp: bool,
     metrics: bool,
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: serve_run [--file PATH] [--feeds N] [--queries N] [--threads N] [--tcp] [--metrics]"
-    );
+    eprintln!("usage: serve_run [--file PATH] [--feeds N] [--queries N] [--tcp] [--metrics]");
     std::process::exit(2)
 }
 
@@ -51,7 +48,6 @@ fn parse_args() -> Args {
         file: PathBuf::from("tests/scenarios/17_serve_feed_interleave.ron"),
         feeds: 2,
         queries: 1000,
-        threads: 1,
         tcp: false,
         metrics: false,
     };
@@ -73,7 +69,6 @@ fn parse_args() -> Args {
             "--file" => args.file = PathBuf::from(value("--file")),
             "--feeds" => args.feeds = number("--feeds", value("--feeds")).max(1) as usize,
             "--queries" => args.queries = number("--queries", value("--queries")),
-            "--threads" => args.threads = number("--threads", value("--threads")).max(1) as usize,
             "--tcp" => args.tcp = true,
             "--metrics" => args.metrics = true,
             "--help" | "-h" => usage(),
@@ -193,7 +188,7 @@ fn main() -> ExitCode {
         f.apply_stream(&mut steps, sc.seed);
     }
     let batches = feed_batches(&steps);
-    let (_, ref_snaps) = replay_reference(world.build(args.threads), &batches);
+    let (_, ref_snaps) = replay_reference(world.build(), &batches);
 
     let sources: Vec<Box<dyn FeedSource>> = split_rounds(&batches, args.feeds)
         .into_iter()
@@ -201,7 +196,7 @@ fn main() -> ExitCode {
         .collect();
     let metrics = if args.metrics { Metrics::enabled() } else { Metrics::disabled() };
     let daemon = Daemon::spawn(
-        Engine::Plain(world.build(args.threads)),
+        Engine::Plain(world.build()),
         sources,
         DaemonConfig { record_snapshots: true, metrics: metrics.clone() },
     );
@@ -396,10 +391,9 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "scenario {} feeds={} threads={} rounds={} updates={} public={} epochs={}",
+        "scenario {} feeds={} rounds={} updates={} public={} epochs={}",
         sc.name,
         args.feeds,
-        args.threads,
         report.rounds,
         report.updates,
         report.public,

@@ -3,10 +3,10 @@
 //! fault plans are minimized and written as replayable artifacts.
 //!
 //! ```text
-//! sim_run [--scenarios DIR] [--file PATH] [--only NAME] [--threads N]
+//! sim_run [--scenarios DIR] [--file PATH] [--only NAME]
 //!         [--artifacts DIR] [--no-minimize] [--list]
 //! sim_run --weather REGIME [--seed N] [--windows N] [--scale full|small]
-//!         [--threads N] [--verify-repro]
+//!         [--verify-repro]
 //! ```
 //!
 //! The `--weather` mode streams a weather regime (see
@@ -28,7 +28,6 @@ struct Args {
     scenarios_dir: PathBuf,
     file: Option<PathBuf>,
     only: Option<String>,
-    threads: usize,
     artifacts: PathBuf,
     minimize: bool,
     list: bool,
@@ -41,10 +40,10 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sim_run [--scenarios DIR] [--file PATH] [--only NAME] [--threads N]\n\
+        "usage: sim_run [--scenarios DIR] [--file PATH] [--only NAME]\n\
          \x20              [--artifacts DIR] [--no-minimize] [--list]\n\
          \x20      sim_run --weather REGIME [--seed N] [--windows N] [--scale full|small]\n\
-         \x20              [--threads N] [--verify-repro]"
+         \x20              [--verify-repro]"
     );
     std::process::exit(2)
 }
@@ -54,7 +53,6 @@ fn parse_args() -> Args {
         scenarios_dir: PathBuf::from("tests/scenarios"),
         file: None,
         only: None,
-        threads: 1,
         artifacts: default_artifact_dir(),
         minimize: true,
         list: false,
@@ -82,7 +80,6 @@ fn parse_args() -> Args {
             "--scenarios" => args.scenarios_dir = PathBuf::from(value("--scenarios")),
             "--file" => args.file = Some(PathBuf::from(value("--file"))),
             "--only" => args.only = Some(value("--only")),
-            "--threads" => args.threads = number("--threads", value("--threads")) as usize,
             "--artifacts" => args.artifacts = PathBuf::from(value("--artifacts")),
             "--no-minimize" => args.minimize = false,
             "--list" => args.list = true,
@@ -129,18 +126,11 @@ fn run_weather_mode(args: &Args, regime: &str) -> ExitCode {
     let spec = WeatherSpec { regime: regime.to_string(), seed: args.seed, windows: args.windows };
     let scale = if args.scale_small { WeatherScale::small() } else { WeatherScale::full() };
     println!(
-        "weather regime={} seed={} windows={} scale={}x{} corpus={} vps={} threads={}",
-        spec.regime,
-        spec.seed,
-        spec.windows,
-        scale.ases,
-        scale.prefixes,
-        scale.corpus,
-        scale.vps,
-        args.threads
+        "weather regime={} seed={} windows={} scale={}x{} corpus={} vps={}",
+        spec.regime, spec.seed, spec.windows, scale.ases, scale.prefixes, scale.corpus, scale.vps
     );
     let start = Instant::now();
-    let (report, stats) = match run_weather(&spec, scale, args.threads) {
+    let (report, stats) = match run_weather(&spec, scale) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -175,7 +165,7 @@ fn run_weather_mode(args: &Args, regime: &str) -> ExitCode {
 
     let mut ok = true;
     if args.verify_repro {
-        match run_weather(&spec, scale, args.threads) {
+        match run_weather(&spec, scale) {
             Ok((again, _)) if again.digest == report.digest && again == report => {
                 println!("repro:  second run matched bit for bit");
             }
@@ -269,11 +259,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let opts = RunOptions {
-        base_threads: args.threads,
-        artifact_dir: Some(args.artifacts.clone()),
-        minimize: args.minimize,
-    };
+    let opts = RunOptions { artifact_dir: Some(args.artifacts.clone()), minimize: args.minimize };
 
     let mut failures = 0usize;
     let total = scenarios.len();
@@ -301,7 +287,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    println!("{}/{} scenarios passed (threads={})", total - failures, total, args.threads);
+    println!("{}/{} scenarios passed", total - failures, total);
     if failures == 0 {
         ExitCode::SUCCESS
     } else {

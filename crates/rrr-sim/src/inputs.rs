@@ -298,24 +298,23 @@ impl SimWorld {
     }
 
     /// The detector configuration used by every run of this scenario.
-    pub fn det_config(&self, threads: usize) -> DetectorConfig {
+    pub fn det_config(&self) -> DetectorConfig {
         let seed = match self {
             SimWorld::Micro { seed } => *seed,
             SimWorld::Bench { cfg } => cfg.seed,
             SimWorld::Weather { spec } => spec.seed,
         };
-        DetectorConfig { seed, threads, ..DetectorConfig::default() }
+        DetectorConfig { seed, ..DetectorConfig::default() }
     }
 
     /// Builds a fresh detector wired to this world (RIB seeded, corpus
-    /// loaded). Identical across calls with the same `threads`.
-    pub fn build(&self, threads: usize) -> StalenessDetector {
+    /// loaded). Identical across calls.
+    pub fn build(&self) -> StalenessDetector {
         match self {
             SimWorld::Micro { .. } => {
                 let (topo, map, geo, alias) = micro_env();
                 let vps: Vec<VpId> = (0..NUM_VPS).map(VpId).collect();
-                let mut det =
-                    StalenessDetector::new(topo, map, geo, alias, vps, self.det_config(threads));
+                let mut det = StalenessDetector::new(topo, map, geo, alias, vps, self.det_config());
                 det.init_rib(&micro_rib_seed());
                 for dst in 0..NUM_DSTS {
                     det.add_corpus(corpus_trace(1 + dst as u64, dst), None)
@@ -328,7 +327,7 @@ impl SimWorld {
                 // and measured environment match the stream generator's
                 // pre-advance state (world generation is deterministic).
                 let mut world = World::new(cfg.as_ref().clone());
-                let mut det = world.build_detector(self.det_config(threads));
+                let mut det = world.build_detector(self.det_config());
                 let boot = world.platform.topology_round(&world.engine, Timestamp::ZERO);
                 det.bootstrap_public(&boot);
                 let mesh = world.platform.anchoring_round(&world.engine, Timestamp::ZERO);
@@ -338,28 +337,28 @@ impl SimWorld {
                 }
                 det
             }
-            SimWorld::Weather { spec } => weather_world(spec).build_detector(threads),
+            SimWorld::Weather { spec } => weather_world(spec).build_detector(0),
         }
     }
 
     /// A fresh detector with *no* RIB mirror or corpus — the raw material
     /// for a partitioned deployment, where the facade routes
     /// [`SimWorld::rib_seed`] and [`SimWorld::corpus_seed`] itself.
-    pub fn build_empty(&self, threads: usize) -> StalenessDetector {
+    pub fn build_empty(&self) -> StalenessDetector {
         match self {
             SimWorld::Micro { .. } => {
                 let (topo, map, geo, alias) = micro_env();
                 let vps: Vec<VpId> = (0..NUM_VPS).map(VpId).collect();
-                StalenessDetector::new(topo, map, geo, alias, vps, self.det_config(threads))
+                StalenessDetector::new(topo, map, geo, alias, vps, self.det_config())
             }
             SimWorld::Bench { cfg } => {
-                World::new(cfg.as_ref().clone()).build_detector_unseeded(self.det_config(threads))
+                World::new(cfg.as_ref().clone()).build_detector_unseeded(self.det_config())
             }
             SimWorld::Weather { spec } => {
                 let mut world = weather_world(spec);
                 let (topo, map, geo, alias) = world.detector_env();
                 let vps: Vec<VpId> = (0..world.scale.vps).map(VpId).collect();
-                StalenessDetector::new(topo, map, geo, alias, vps, self.det_config(threads))
+                StalenessDetector::new(topo, map, geo, alias, vps, self.det_config())
             }
         }
     }
@@ -475,7 +474,7 @@ mod tests {
     #[test]
     fn micro_detector_builds_with_corpus() {
         let w = SimWorld::Micro { seed: 5 };
-        let det = w.build(1);
+        let det = w.build();
         assert_eq!(det.corpus().len(), NUM_DSTS as usize);
         det.validate().expect("fresh detector is consistent");
     }

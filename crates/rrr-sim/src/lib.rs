@@ -5,7 +5,7 @@
 //! faults — reordered/duplicated/dropped update batches, duplicate-update
 //! storms, clock-skewed arrivals, torn/bit-flipped WAL frames and
 //! checkpoints, mid-window crash/restore cycles — and checks differential
-//! oracles over each run: shard-count invariance, crash-resume
+//! oracles over each run: independent-instance invariance, crash-resume
 //! equivalence, internal-consistency invariants, revocation, refresh
 //! budget discipline against the `rrr-baselines` emulators, and MRT
 //! round-tripping.
@@ -29,7 +29,7 @@ pub use inputs::{micro_rounds, MicroPlan, RoundInput, SimWorld, ROUND};
 pub use minimize::minimize;
 pub use runner::{
     feed_batches, oracle_serve_equivalence, run_once, snapshots_equal, store_error_kind,
-    OracleFailure, SHARD_COUNTS,
+    OracleFailure,
 };
 pub use scenario::{load_corpus, Expect, Oracle, Scenario, ScenarioError, SimEvent, WorldKind};
 pub use weather::{
@@ -41,8 +41,6 @@ use std::path::PathBuf;
 /// How to run a scenario (or corpus).
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Worker threads for single-detector oracles.
-    pub base_threads: usize,
     /// Where failure artifacts go; `None` disables artifacts.
     pub artifact_dir: Option<PathBuf>,
     /// Minimize failing fault plans before reporting.
@@ -51,7 +49,7 @@ pub struct RunOptions {
 
 impl Default for RunOptions {
     fn default() -> Self {
-        RunOptions { base_threads: 1, artifact_dir: None, minimize: true }
+        RunOptions { artifact_dir: None, minimize: true }
     }
 }
 
@@ -83,14 +81,14 @@ impl Outcome {
 /// Runs one scenario end to end: all oracles, then — on failure — ddmin
 /// over the fault plan and an artifact write.
 pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Outcome {
-    match run_once(sc, opts.base_threads) {
+    match run_once(sc) {
         Ok(()) => Outcome { name: sc.name.clone(), failure: None },
         Err(failure) => {
             let minimized = if opts.minimize && sc.faults.len() > 1 {
                 minimize(&sc.faults, |cand| {
                     let mut trial = sc.clone();
                     trial.faults = cand.to_vec();
-                    run_once(&trial, opts.base_threads).is_err()
+                    run_once(&trial).is_err()
                 })
             } else {
                 sc.faults.clone()

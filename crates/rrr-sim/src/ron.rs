@@ -50,14 +50,6 @@ impl Value {
         self.as_i64().and_then(|i| u64::try_from(i).ok())
     }
 
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
@@ -122,10 +114,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of sequences and structs [`parse`] accepts. The parser
+/// recurses once per level; scenario files nest three or four.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one RON document (a single value, optionally surrounded by
 /// whitespace and comments).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -138,6 +134,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Sequences and structs open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -176,12 +174,26 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
-            Some(b'[') => self.seq(),
+            Some(b'[') => self.nested(Self::seq),
             Some(b'"') => self.string().map(Value::Str),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) if c.is_ascii_alphabetic() || c == b'_' => self.ident_value(),
+            Some(c) if c.is_ascii_alphabetic() || c == b'_' => self.nested(Self::ident_value),
             Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
         }
+    }
+
+    /// Runs `parse` one nesting level down, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn seq(&mut self) -> Result<Value, ParseError> {
@@ -225,9 +237,17 @@ impl Parser<'_> {
                     });
                     self.pos += 1;
                 }
-                Some(c) => {
-                    out.push(c as char);
-                    self.pos += 1;
+                Some(_) => {
+                    // The run up to the next quote or backslash is copied
+                    // whole: both are ASCII, so it ends on a character
+                    // boundary of the UTF-8 input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -349,9 +369,24 @@ mod tests {
 
     #[test]
     fn display_round_trips() {
-        let doc = r#"Failure(scenario: "x", seed: 7, faults: [FlipWalByte(offset: 12)], ok: false, score: 1.5)"#;
+        let doc = r#"Failure(scenario: "x", seed: 7, faults: [FlipWalByte(offset: 12)], ok: false, score: 1.5, note: "café → ε\t\"q\"")"#;
         let v = parse(doc).expect("parses");
+        assert_eq!(v.field("note").and_then(Value::as_str), Some("café → ε\t\"q\""));
         let rendered = v.to_string();
         assert_eq!(parse(&rendered).expect("reparses"), v);
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let seqs = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&seqs(MAX_DEPTH)).is_ok());
+        assert!(parse(&seqs(MAX_DEPTH + 1)).is_err());
+        let structs = format!("{}1{}", "A(a: ".repeat(MAX_DEPTH + 1), ")".repeat(MAX_DEPTH + 1));
+        assert!(parse(&structs).is_err());
+        // Unclosed, on a thread with the default stack: uncapped, this
+        // overflows it and aborts the process.
+        let doc = "[".repeat(65_000);
+        let rejected = std::thread::spawn(move || parse(&doc).is_err());
+        assert!(rejected.join().expect("parser thread"));
     }
 }

@@ -1,10 +1,10 @@
 //! Scenario execution: expands the scenario's world, applies the fault
 //! plan to the input stream, and checks every oracle. Oracles assert
-//! *input-independent* invariants — shard-count invariance, crash-resume
-//! equivalence, internal consistency, revocation, budget discipline, MRT
-//! round-tripping — so they hold on faulted streams too: a fault changes
-//! *which* inputs the detector sees, never the rules the detector must
-//! obey while seeing them.
+//! *input-independent* invariants — independent-instance invariance,
+//! crash-resume equivalence, internal consistency, revocation, budget
+//! discipline, MRT round-tripping — so they hold on faulted streams too: a
+//! fault changes *which* inputs the detector sees, never the rules the
+//! detector must obey while seeing them.
 
 use crate::faults::Fault;
 use crate::inputs::{RoundInput, SimWorld, ROUND};
@@ -27,8 +27,6 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Worker-thread counts the shard-invariance oracle compares.
-pub const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 /// Partition counts the partition-invariance oracle compares against the
 /// single-instance reference.
 pub const PARTITION_COUNTS: [usize; 2] = [2, 8];
@@ -51,10 +49,8 @@ impl std::fmt::Display for OracleFailure {
 }
 
 /// Runs one scenario: every oracle, in declaration order, on the faulted
-/// stream. The first failing oracle wins. `base_threads` is the worker
-/// count for single-detector oracles (shard invariance always compares
-/// [`SHARD_COUNTS`]).
-pub fn run_once(sc: &Scenario, base_threads: usize) -> Result<(), OracleFailure> {
+/// stream. The first failing oracle wins.
+pub fn run_once(sc: &Scenario) -> Result<(), OracleFailure> {
     let (world, mut steps) = SimWorld::from_scenario(sc);
     for f in &sc.faults {
         f.apply_stream(&mut steps, sc.seed);
@@ -63,22 +59,18 @@ pub fn run_once(sc: &Scenario, base_threads: usize) -> Result<(), OracleFailure>
         let res = match *o {
             Oracle::ShardInvariance => oracle_shard_invariance(&world, &steps),
             Oracle::CrashResume { split, every } => {
-                oracle_crash_resume(sc, &world, &steps, split as usize, every, base_threads)
+                oracle_crash_resume(sc, &world, &steps, split as usize, every)
             }
-            Oracle::Invariants => oracle_invariants(&world, &steps, base_threads),
-            Oracle::Revocation => oracle_revocation(&world, &steps, base_threads),
-            Oracle::Baselines { budget } => {
-                oracle_baselines(sc, &world, &steps, budget, base_threads)
-            }
+            Oracle::Invariants => oracle_invariants(&world, &steps),
+            Oracle::Revocation => oracle_revocation(&world, &steps),
+            Oracle::Baselines { budget } => oracle_baselines(sc, &world, &steps, budget),
             Oracle::MrtRoundTrip => oracle_mrt_round_trip(&world, &steps),
             Oracle::ServeEquivalence { feeds } => {
-                oracle_serve_equivalence(&world, &steps, feeds as usize, base_threads)
+                oracle_serve_equivalence(&world, &steps, feeds as usize)
             }
             Oracle::PartitionInvariance => oracle_partition_invariance(&world, &steps),
-            Oracle::MetricsInvariants => {
-                oracle_metrics_invariants(sc, &world, &steps, base_threads)
-            }
-            Oracle::WeatherReport => oracle_weather_report(&world, &steps, base_threads),
+            Oracle::MetricsInvariants => oracle_metrics_invariants(sc, &world, &steps),
+            Oracle::WeatherReport => oracle_weather_report(&world, &steps),
         };
         if let Err(message) = res {
             return Err(OracleFailure { oracle: o.name(), message });
@@ -137,11 +129,7 @@ fn first_log_diff(a: &[String], b: &[String]) -> String {
 /// events, emit signals, keep every per-window tally coherent, and —
 /// fed the identical (possibly faulted) stream twice — reproduce its
 /// signal log bit for bit.
-fn oracle_weather_report(
-    world: &SimWorld,
-    steps: &[RoundInput],
-    base_threads: usize,
-) -> Result<(), String> {
+fn oracle_weather_report(world: &SimWorld, steps: &[RoundInput]) -> Result<(), String> {
     let SimWorld::Weather { spec } = world else {
         return Err("WeatherReport oracle requires the Weather world".to_string());
     };
@@ -161,8 +149,8 @@ fn oracle_weather_report(
         ));
     }
 
-    let run = |threads: usize| {
-        let mut det = world.build(threads);
+    let run = || {
+        let mut det = world.build();
         for r in steps {
             det.step(r.now, &r.updates, &r.public);
         }
@@ -171,8 +159,8 @@ fn oracle_weather_report(
             det.signal_log().iter().filter_map(|s| weather::scored(spec, &gen, s)).collect();
         (log, sigs)
     };
-    let (log_a, sigs) = run(base_threads);
-    let (log_b, _) = run(base_threads);
+    let (log_a, sigs) = run();
+    let (log_b, _) = run();
     if log_a != log_b {
         return Err(format!(
             "two identical weather runs diverged: {}",
@@ -254,49 +242,44 @@ fn drive(
     plans
 }
 
-/// Thread counts 1, 2, and 8 must produce bit-identical signal logs,
-/// refresh plans, and final checkpoint bytes (the worker count is runtime
-/// tuning, excluded from the checkpoint's config fingerprint).
+/// Two independently built detectors — each with its own hash-map seeds
+/// (`rrr_types::fasthash`) — fed the same stream with refresh planning must
+/// produce bit-identical signal logs, refresh plans, and final checkpoint
+/// bytes: nothing observable may depend on hash iteration order.
 fn oracle_shard_invariance(world: &SimWorld, steps: &[RoundInput]) -> Result<(), String> {
-    let mut reference = world.build(SHARD_COUNTS[0]);
-    let ref_plans = drive(&mut reference, steps, Some(PLAN_BUDGET));
-    let ref_log = log_repr(&reference);
-    let ref_ck = checkpoint_bytes(&reference)?;
-    for &threads in &SHARD_COUNTS[1..] {
-        let mut det = world.build(threads);
+    let run = || -> Result<_, String> {
+        let mut det = world.build();
         let plans = drive(&mut det, steps, Some(PLAN_BUDGET));
-        let log = log_repr(&det);
-        if log != ref_log {
-            return Err(format!(
-                "signal logs diverge between {} and {threads} threads: {}",
-                SHARD_COUNTS[0],
-                first_log_diff(&ref_log, &log)
-            ));
-        }
-        if plans != ref_plans {
-            return Err(format!(
-                "refresh plans diverge between {} and {threads} threads: {ref_plans:?} vs {plans:?}",
-                SHARD_COUNTS[0]
-            ));
-        }
-        let ck = checkpoint_bytes(&det)?;
-        if ck != ref_ck {
-            return Err(format!(
-                "final checkpoints differ between {} and {threads} threads \
-                 ({} vs {} bytes) though signal logs match",
-                SHARD_COUNTS[0],
-                ref_ck.len(),
-                ck.len()
-            ));
-        }
+        Ok((log_repr(&det), plans, checkpoint_bytes(&det)?))
+    };
+    let (log_a, plans_a, ck_a) = run()?;
+    let (log_b, plans_b, ck_b) = run()?;
+    if log_a != log_b {
+        return Err(format!(
+            "signal logs diverge between two instances: {}",
+            first_log_diff(&log_a, &log_b)
+        ));
+    }
+    if plans_a != plans_b {
+        return Err(format!(
+            "refresh plans diverge between two instances: {plans_a:?} vs {plans_b:?}"
+        ));
+    }
+    if ck_a != ck_b {
+        return Err(format!(
+            "final checkpoints differ between two instances ({} vs {} bytes) \
+             though signal logs match",
+            ck_a.len(),
+            ck_b.len()
+        ));
     }
     Ok(())
 }
 
 /// `StalenessDetector::validate` holds after every step and after
 /// every applied refresh.
-fn oracle_invariants(world: &SimWorld, steps: &[RoundInput], threads: usize) -> Result<(), String> {
-    let mut det = world.build(threads);
+fn oracle_invariants(world: &SimWorld, steps: &[RoundInput]) -> Result<(), String> {
+    let mut det = world.build();
     det.validate().map_err(|e| format!("before any step: {e}"))?;
     for (k, ri) in steps.iter().enumerate() {
         let _ = det.step(ri.now, &ri.updates, &ri.public);
@@ -312,8 +295,8 @@ fn oracle_invariants(world: &SimWorld, steps: &[RoundInput], threads: usize) -> 
 /// Signals must fire while the scripted events hold, mark corpus entries
 /// stale, and every assertion must revoke once the events revert (§4.3.2):
 /// the corpus ends the run fully fresh again.
-fn oracle_revocation(world: &SimWorld, steps: &[RoundInput], threads: usize) -> Result<(), String> {
-    let mut det = world.build(threads);
+fn oracle_revocation(world: &SimWorld, steps: &[RoundInput]) -> Result<(), String> {
+    let mut det = world.build();
     let mut max_stale = 0usize;
     for ri in steps {
         let _ = det.step(ri.now, &ri.updates, &ri.public);
@@ -367,10 +350,9 @@ fn oracle_crash_resume(
     steps: &[RoundInput],
     split: usize,
     every: u64,
-    threads: usize,
 ) -> Result<(), String> {
     let dir = fresh_dir(&sc.name);
-    let result = crash_resume_inner(sc, world, steps, split, every, threads, &dir);
+    let result = crash_resume_inner(sc, world, steps, split, every, &dir);
     let _ = std::fs::remove_dir_all(&dir);
     result
 }
@@ -381,7 +363,6 @@ fn crash_resume_inner(
     steps: &[RoundInput],
     split: usize,
     every: u64,
-    threads: usize,
     dir: &PathBuf,
 ) -> Result<(), String> {
     // `every == 0` keeps every step in the WAL (u64::MAX cadence):
@@ -400,7 +381,7 @@ fn crash_resume_inner(
             ..DurableConfig::default()
         }
     };
-    let mut durable = DurableDetector::create(world.build(threads), dir, cfg.clone())
+    let mut durable = DurableDetector::create(world.build(), dir, cfg.clone())
         .map_err(|e| format!("creating the durable detector: {e}"))?;
     for ri in &steps[..split] {
         durable
@@ -415,7 +396,7 @@ fn crash_resume_inner(
     }
 
     let (topo, map, geo, alias) = world.env();
-    let mut det_cfg = world.det_config(threads);
+    let mut det_cfg = world.det_config();
     if sc.faults.contains(&Fault::RestoreConfigSkew) {
         det_cfg.calibration_l += 1;
     }
@@ -447,7 +428,7 @@ fn crash_resume_inner(
     // The uninterrupted reference skips any step the durable run
     // legitimately lost (a torn WAL tail loses exactly the crashed step).
     let dropped: Vec<u64> = sc.faults.iter().filter_map(|f| f.dropped_step(split as u64)).collect();
-    let mut reference = world.build(threads);
+    let mut reference = world.build();
     for (k, ri) in steps.iter().enumerate() {
         if dropped.contains(&(k as u64)) {
             continue;
@@ -505,7 +486,7 @@ fn partition_map_for(world: &SimWorld, n: usize) -> Result<PartitionMap, String>
 /// The partitioned counterpart of [`SimWorld::build`]: identical
 /// environment and seeding, routed through the facade.
 fn build_partitioned(world: &SimWorld, map: PartitionMap) -> PartitionedDetector {
-    let mut pd = PartitionedDetector::from_factory(map, |_| world.build_empty(1));
+    let mut pd = PartitionedDetector::from_factory(map, |_| world.build_empty());
     pd.init_rib(&world.rib_seed());
     pd.bootstrap_public(&world.bootstrap_seed());
     for (tr, asn) in world.corpus_seed() {
@@ -538,7 +519,7 @@ fn drive_partitioned(pd: &mut PartitionedDetector, steps: &[RoundInput]) -> Vec<
 /// merged signal log, refresh plans, and canonical state bytes, at every
 /// count in [`PARTITION_COUNTS`].
 fn oracle_partition_invariance(world: &SimWorld, steps: &[RoundInput]) -> Result<(), String> {
-    let mut reference = world.build(1);
+    let mut reference = world.build();
     let ref_plans = drive(&mut reference, steps, Some(PLAN_BUDGET));
     let ref_log = log_repr(&reference);
     let ref_bytes =
@@ -582,9 +563,8 @@ fn oracle_baselines(
     world: &SimWorld,
     steps: &[RoundInput],
     budget: usize,
-    threads: usize,
 ) -> Result<(), String> {
-    let mut det = world.build(threads);
+    let mut det = world.build();
     for (k, ri) in steps.iter().enumerate() {
         let _ = det.step(ri.now, &ri.updates, &ri.public);
         if (k + 1) % PLAN_EVERY == 0 {
@@ -777,16 +757,15 @@ pub fn oracle_serve_equivalence(
     world: &SimWorld,
     steps: &[RoundInput],
     feeds: usize,
-    threads: usize,
 ) -> Result<(), String> {
     let batches = feed_batches(steps);
-    let (reference, ref_snaps) = replay_reference(world.build(threads), &batches);
+    let (reference, ref_snaps) = replay_reference(world.build(), &batches);
     let sources: Vec<Box<dyn FeedSource>> = split_rounds(&batches, feeds)
         .into_iter()
         .map(|b| Box::new(ScriptedFeed::new(b)) as Box<dyn FeedSource>)
         .collect();
     let daemon = Daemon::spawn(
-        Engine::Plain(world.build(threads)),
+        Engine::Plain(world.build()),
         sources,
         DaemonConfig { record_snapshots: true, ..DaemonConfig::default() },
     );
@@ -898,15 +877,14 @@ fn oracle_metrics_invariants(
     sc: &Scenario,
     world: &SimWorld,
     steps: &[RoundInput],
-    threads: usize,
 ) -> Result<(), String> {
     use rrr_core::Metrics;
 
     // --- 1. Plain detector -------------------------------------------------
-    let mut baseline = world.build(threads);
+    let mut baseline = world.build();
     drive(&mut baseline, steps, None);
     let metrics = Metrics::enabled();
-    let mut det = world.build(threads);
+    let mut det = world.build();
     det.set_metrics(&metrics);
     drive(&mut det, steps, None);
     if log_repr(&det) != log_repr(&baseline) {
@@ -952,7 +930,7 @@ fn oracle_metrics_invariants(
 
     // --- 2. Durable store --------------------------------------------------
     let dir = fresh_dir(&format!("{}-metrics", sc.name));
-    let result = metrics_durable_leg(world, steps, threads, &dir);
+    let result = metrics_durable_leg(world, steps, &dir);
     let _ = std::fs::remove_dir_all(&dir);
     result?;
 
@@ -964,7 +942,7 @@ fn oracle_metrics_invariants(
         .map(|b| Box::new(ScriptedFeed::new(b)) as Box<dyn FeedSource>)
         .collect();
     let daemon = Daemon::spawn(
-        Engine::Plain(world.build(threads)),
+        Engine::Plain(world.build()),
         sources,
         DaemonConfig { record_snapshots: true, metrics: metrics.clone() },
     );
@@ -1011,14 +989,13 @@ fn oracle_metrics_invariants(
 fn metrics_durable_leg(
     world: &SimWorld,
     steps: &[RoundInput],
-    threads: usize,
     dir: &PathBuf,
 ) -> Result<(), String> {
     use rrr_core::Metrics;
 
     let metrics = Metrics::enabled();
     let cfg = DurableConfig { checkpoint_every_windows: u64::MAX, ..DurableConfig::default() };
-    let mut durable = DurableDetector::create(world.build(threads), dir, cfg)
+    let mut durable = DurableDetector::create(world.build(), dir, cfg)
         .map_err(|e| format!("creating the durable detector: {e}"))?;
     durable.set_metrics(&metrics);
     for (k, ri) in steps.iter().enumerate() {
@@ -1090,7 +1067,7 @@ mod tests {
             )"#,
         )
         .expect("parses");
-        run_once(&sc, 1).expect("clean scenario passes");
+        run_once(&sc).expect("clean scenario passes");
     }
 
     #[test]
@@ -1106,7 +1083,7 @@ mod tests {
             )"#,
         )
         .expect("parses");
-        run_once(&sc, 1).expect("metrics identities hold");
+        run_once(&sc).expect("metrics identities hold");
     }
 
     #[test]
@@ -1123,7 +1100,7 @@ mod tests {
             )"#,
         )
         .expect("parses");
-        run_once(&sc, 1).expect("partitioning reproduces the single instance");
+        run_once(&sc).expect("partitioning reproduces the single instance");
     }
 
     #[test]
@@ -1139,7 +1116,7 @@ mod tests {
             )"#,
         )
         .expect("parses");
-        let err = run_once(&sc, 1).expect_err("corruption must surface");
+        let err = run_once(&sc).expect_err("corruption must surface");
         assert_eq!(err.oracle, "crash-resume");
         assert!(err.message.contains("CrcMismatch"), "{}", err.message);
     }
@@ -1158,6 +1135,6 @@ mod tests {
             )"#,
         )
         .expect("parses");
-        run_once(&sc, 1).expect("expected error is a pass");
+        run_once(&sc).expect("expected error is a pass");
     }
 }

@@ -43,8 +43,9 @@ pub enum SimEvent {
 /// Which invariant checks a scenario runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Oracle {
-    /// Thread counts 1, 2, and 8 produce bit-identical signal logs, refresh
-    /// plans, and final checkpoint bytes on the faulted stream.
+    /// Two independently built detectors (each map freshly seeded) produce
+    /// bit-identical signal logs, refresh plans, and final checkpoint bytes
+    /// on the faulted stream.
     ShardInvariance,
     /// Crash after `split` rounds (durable WAL + checkpoint), reopen, and
     /// finish: the final checkpoint must equal an uninterrupted run's.

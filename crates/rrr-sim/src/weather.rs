@@ -236,10 +236,9 @@ fn fnv64(mut h: u64, bytes: &[u8]) -> u64 {
 pub fn run_weather(
     spec: &WeatherSpec,
     scale: WeatherScale,
-    threads: usize,
 ) -> Result<(WeatherReport, WeatherRunStats), String> {
     let mut world = spec.world(scale)?;
-    let mut det = world.build_detector(threads);
+    let mut det = world.build_detector(0);
     let mut truth_all: Vec<TruthEvent> = Vec::new();
     let mut sig_windows: Vec<(u64, usize, Technique)> = Vec::new();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -432,8 +431,8 @@ mod tests {
     #[test]
     fn small_run_is_reproducible_and_scores_signals() {
         let sp = spec("diurnal", 11, 40);
-        let (a, stats) = run_weather(&sp, WeatherScale::small(), 1).expect("runs");
-        let (b, _) = run_weather(&sp, WeatherScale::small(), 1).expect("runs");
+        let (a, stats) = run_weather(&sp, WeatherScale::small()).expect("runs");
+        let (b, _) = run_weather(&sp, WeatherScale::small()).expect("runs");
         assert_eq!(a.digest, b.digest, "same spec, same signals, bit for bit");
         assert_eq!(a, b);
         assert!(stats.updates_fed > 0);

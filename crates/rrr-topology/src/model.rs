@@ -99,11 +99,6 @@ impl AsInfo {
     pub fn neighbor(&self, peer: AsIdx) -> Option<&NeighborRef> {
         self.neighbors.iter().find(|n| n.peer == peer)
     }
-
-    /// Whether the AS is present in `city`.
-    pub fn in_city(&self, city: CityId) -> bool {
-        self.cities.contains(&city)
-    }
 }
 
 /// An AS-AS adjacency. `rel_b` gives `b`'s relationship relative to `a`
@@ -284,11 +279,6 @@ impl Topology {
 
     pub fn ixp(&self, id: IxpId) -> &Ixp {
         &self.ixps[id.index()]
-    }
-
-    /// The adjacency between two ASes, if any.
-    pub fn adjacency_between(&self, x: AsIdx, y: AsIdx) -> Option<&Adjacency> {
-        self.as_info(x).neighbor(y).map(|n| self.adjacency(n.adj))
     }
 
     /// Relationship of `y` relative to `x`, if adjacent.

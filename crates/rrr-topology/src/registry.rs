@@ -62,11 +62,6 @@ impl Registry {
         cities
     }
 
-    /// Documented membership check.
-    pub fn is_ixp_member(&self, ixp: IxpId, asx: AsIdx) -> bool {
-        self.ixp_members.get(&ixp).is_some_and(|m| m.contains(&asx))
-    }
-
     /// CAIDA-relationship lookup: relationship of `b` relative to `a`
     /// (`Some(Customer)` when b is a's customer), mirroring
     /// [`crate::Relationship`] semantics. `None` when not adjacent per the

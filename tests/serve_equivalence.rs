@@ -57,7 +57,7 @@ proptest! {
             f.apply_stream(&mut steps, sc.seed);
         }
         let batches = feed_batches(&steps);
-        let (_, ref_snaps) = replay_reference(world.build(1), &batches);
+        let (_, ref_snaps) = replay_reference(world.build(), &batches);
 
         for feeds in [1usize, 2, 8] {
             let sources: Vec<Box<dyn FeedSource>> = split_rounds(&batches, feeds)
@@ -65,7 +65,7 @@ proptest! {
                 .map(|b| Box::new(ScriptedFeed::new(b)) as Box<dyn FeedSource>)
                 .collect();
             let daemon = Daemon::spawn(
-                Engine::Plain(world.build(1)),
+                Engine::Plain(world.build()),
                 sources,
                 DaemonConfig { record_snapshots: true, ..DaemonConfig::default() },
             );

@@ -39,7 +39,7 @@ fn the_scenario_corpus_passes() {
         "no scenario exercises crash-resume"
     );
 
-    let opts = RunOptions { base_threads: 1, artifact_dir: None, minimize: false };
+    let opts = RunOptions { artifact_dir: None, minimize: false };
     let mut failed = Vec::new();
     for sc in &corpus {
         let outcome = run_scenario(sc, &opts);
@@ -93,7 +93,7 @@ fn corrupting_a_checkpoint_byte_yields_a_minimized_replayable_artifact() {
     .expect("scenario parses");
 
     let dir = std::env::temp_dir().join(format!("rrr-sim-harness-{}", std::process::id()));
-    let opts = RunOptions { base_threads: 1, artifact_dir: Some(dir.clone()), minimize: true };
+    let opts = RunOptions { artifact_dir: Some(dir.clone()), minimize: true };
     let outcome = run_scenario(&sc, &opts);
     let failure = outcome.failure.expect("the corrupted checkpoint must fail crash-resume");
     assert_eq!(failure.oracle, "crash-resume");
@@ -112,8 +112,7 @@ fn corrupting_a_checkpoint_byte_yields_a_minimized_replayable_artifact() {
     let repro = load_scenario_or_artifact(&artifact).expect("artifact loads");
     assert_eq!(repro.seed, sc.seed);
     assert_eq!(repro.faults, failure.minimized);
-    let replay =
-        run_scenario(&repro, &RunOptions { base_threads: 1, artifact_dir: None, minimize: false });
+    let replay = run_scenario(&repro, &RunOptions { artifact_dir: None, minimize: false });
     let replay_failure = replay.failure.expect("replay reproduces the failure");
     assert_eq!(replay_failure.oracle, failure.oracle);
     assert_eq!(replay_failure.message, failure.message, "replay is bit-deterministic");
