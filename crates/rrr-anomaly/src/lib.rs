@@ -12,6 +12,8 @@
 //! to preserve stationarity (so persistent changes keep registering), and a
 //! series is only eligible once it has 20 consecutive populated windows.
 
+#![forbid(unsafe_code)]
+
 pub mod bitmap;
 pub mod series;
 pub mod zscore;

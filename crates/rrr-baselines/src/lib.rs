@@ -10,6 +10,8 @@
 //! single TTL-limited detection probes (1 packet) and is scored by the
 //! fraction of ground-truth changes it detects while they are current.
 
+#![forbid(unsafe_code)]
+
 pub mod dtrack;
 pub mod emu;
 pub mod iplane;

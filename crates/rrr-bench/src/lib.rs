@@ -2,6 +2,8 @@
 //! world assembly, ground-truth change tracking, signal↔change matching,
 //! and result printing/serialization.
 
+#![forbid(unsafe_code)]
+
 pub mod eval;
 pub mod retro;
 pub mod table;

@@ -19,6 +19,8 @@
 //! and data-plane observations are mutually consistent — the property the
 //! paper's cross-stream correlation relies on.
 
+#![forbid(unsafe_code)]
+
 pub mod attrs;
 pub mod engine;
 pub mod envelope;

@@ -2,7 +2,7 @@
 
 use rrr_ip2as::{find_borders, map_traceroute, Border, IpToAsMap};
 use rrr_store::{Decoder, Encoder, Persist, StoreError};
-use rrr_types::{Asn, Ipv4, Prefix, Timestamp, Traceroute, TracerouteId};
+use rrr_types::{Asn, FastMap, Ipv4, Prefix, Timestamp, Traceroute, TracerouteId};
 use std::collections::{BTreeSet, HashMap};
 
 /// Freshness classification of a corpus traceroute (§6.2's three classes).
@@ -129,7 +129,7 @@ impl Persist for Corpus {
         let entries: HashMap<TracerouteId, CorpusEntry> = Persist::load(d)?;
         let by_dst_prefix: HashMap<Prefix, Vec<TracerouteId>> = Persist::load(d)?;
         let by_asn: HashMap<Asn, Vec<TracerouteId>> = Persist::load(d)?;
-        let by_pair: HashMap<(Ipv4, Ipv4), TracerouteId> = Persist::load(d)?;
+        let by_pair: FastMap<(Ipv4, Ipv4), TracerouteId> = Persist::load(d)?;
         // Conservative: everything is delta-dirty until the owner
         // establishes a fresh full-snapshot base via `mark_clean`.
         Ok(Corpus {
@@ -156,7 +156,7 @@ pub struct Corpus {
     /// AS → entries whose path contains it.
     pub by_asn: HashMap<Asn, Vec<TracerouteId>>,
     /// (src, dst) → current entry (a refresh replaces the previous one).
-    pub by_pair: HashMap<(Ipv4, Ipv4), TracerouteId>,
+    pub by_pair: FastMap<(Ipv4, Ipv4), TracerouteId>,
     /// Transient delta tracking: entries written (or removed) since the
     /// last full-snapshot base. The delta encodes each touched id's *final*
     /// state, so churned-then-removed ids resolve correctly.

@@ -25,6 +25,8 @@
 //! cooperating instances over contiguous key ranges, stepped on scoped
 //! threads, whose merged output is bit-identical to a single instance.
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod api;
 pub mod bgp_monitors;

@@ -102,7 +102,7 @@ fn segment_cities(
 pub struct TraceMonitors {
     subpaths: Vec<SubpathMonitor>,
     by_start: FastMap<Ipv4, Vec<usize>>,
-    subpath_index: HashMap<Vec<Ipv4>, usize>,
+    subpath_index: FastMap<Vec<Ipv4>, usize>,
     borders: Vec<BorderMonitor>,
     by_border_key: FastMap<BorderKey, Vec<usize>>,
     border_index: FastMap<(BorderKey, AliasKey), usize>,
@@ -147,7 +147,7 @@ impl TraceMonitors {
         TraceMonitors {
             subpaths: Vec::new(),
             by_start: FastMap::default(),
-            subpath_index: HashMap::new(),
+            subpath_index: FastMap::default(),
             borders: Vec::new(),
             by_border_key: FastMap::default(),
             border_index: FastMap::default(),

@@ -3,6 +3,8 @@
 //! constrained-search fallback. The PoP-level border technique (§4.2.2)
 //! consumes the combined pipeline.
 
+#![forbid(unsafe_code)]
+
 pub mod db;
 pub mod ping;
 pub mod pipeline;

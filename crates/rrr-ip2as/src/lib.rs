@@ -8,6 +8,8 @@
 //! derived from ground truth with a configurable miss rate, because alias
 //! resolution is an input the paper obtains from an external service.
 
+#![forbid(unsafe_code)]
+
 pub mod alias;
 pub mod borders;
 pub mod mapping;

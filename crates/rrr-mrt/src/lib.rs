@@ -14,6 +14,8 @@
 //! - a streaming reader/writer pair and the [`VpDirectory`] that maps the
 //!   simulator's vantage points to (peer IP, peer AS) pairs and back.
 
+#![forbid(unsafe_code)]
+
 pub mod bgp;
 pub mod bgpstream;
 pub mod mrt;

@@ -22,6 +22,8 @@
 //! histograms. Labels are baked into the registry key verbatim, e.g.
 //! `rrr_detector_steps_total{part="0"}`.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};

@@ -23,6 +23,8 @@
 //! the same input to the same epoch ([`replay_reference`]), for any feed
 //! count and any thread interleaving.
 
+#![forbid(unsafe_code)]
+
 pub mod daemon;
 pub mod feed;
 pub mod query;

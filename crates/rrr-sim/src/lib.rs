@@ -14,6 +14,8 @@
 //! `sim_run` binary. On failure the harness minimizes the fault plan
 //! (ddmin) and writes a replayable seed + fault-plan artifact.
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod faults;
 pub mod inputs;

@@ -18,7 +18,7 @@
 //! tag at the start of the payload, distinguishing full snapshots from
 //! delta frames (state changed since the last full snapshot).
 
-use crate::crc32::Crc32;
+use crate::crc32::{combine, crc32, Crc32};
 use crate::error::StoreError;
 use std::io::{Read, Write};
 
@@ -52,12 +52,6 @@ impl FrameKind {
         }
     }
 }
-
-/// Payload bytes checksummed per step. A frame needs two checksums over
-/// (almost) the same bytes — the frame CRC and the CRC of the payload
-/// alone, by which a delta chain names its base — and taking both a chunk
-/// at a time means the second pass reads from cache, not from memory.
-const CRC_CHUNK: usize = 64 * 1024;
 
 /// A verified snapshot frame.
 #[derive(Debug)]
@@ -95,25 +89,26 @@ pub fn write_snapshot<W: Write>(w: W, kind: FrameKind, payload: &[u8]) -> Result
     write_frame(w, &[kind.tag()], payload)
 }
 
+/// A frame needs two checksums over (almost) the same bytes: the frame CRC
+/// and the CRC of the payload alone, by which a delta chain names its base.
+/// The payload is read once; the frame CRC is combined from that and the
+/// CRC of the few bytes in front of it.
 fn write_frame<W: Write>(mut w: W, head: &[u8], payload: &[u8]) -> Result<u32, StoreError> {
     let mut header = [0u8; 18];
     header[..8].copy_from_slice(&MAGIC);
     header[8..10].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     header[10..].copy_from_slice(&((head.len() + payload.len()) as u64).to_le_bytes());
-    let mut frame_crc = Crc32::new();
-    frame_crc.update(&header);
-    frame_crc.update(head);
+    let mut front_crc = Crc32::new();
+    front_crc.update(&header);
+    front_crc.update(head);
+    let payload_crc = crc32(payload);
+    let frame_crc = combine(front_crc.finish(), payload_crc, payload.len() as u64);
     w.write_all(&header)?;
     w.write_all(head)?;
-    let mut payload_crc = Crc32::new();
-    for chunk in payload.chunks(CRC_CHUNK) {
-        frame_crc.update(chunk);
-        payload_crc.update(chunk);
-        w.write_all(chunk)?;
-    }
-    w.write_all(&frame_crc.finish().to_le_bytes())?;
+    w.write_all(payload)?;
+    w.write_all(&frame_crc.to_le_bytes())?;
     w.flush()?;
-    Ok(payload_crc.finish())
+    Ok(payload_crc)
 }
 
 /// Reads and verifies one framed checkpoint, returning the raw payload.
@@ -155,23 +150,19 @@ fn read_frame<R: Read>(mut r: R, head_len: usize) -> Result<(Vec<u8>, u32), Stor
     }
     let (head, body) = payload.split_at(head_len.min(len));
     frame_crc.update(head);
-    let mut body_crc = Crc32::new();
-    for chunk in body.chunks(CRC_CHUNK) {
-        frame_crc.update(chunk);
-        body_crc.update(chunk);
-    }
+    let body_crc = crc32(body);
 
     let mut stored = [0u8; 4];
     r.read_exact(&mut stored)?;
     let stored = u32::from_le_bytes(stored);
-    let computed = frame_crc.finish();
+    let computed = combine(frame_crc.finish(), body_crc, body.len() as u64);
     if stored != computed {
         return Err(StoreError::CrcMismatch { stored, computed });
     }
     if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion { found: version, supported: FORMAT_VERSION });
     }
-    Ok((payload, body_crc.finish()))
+    Ok((payload, body_crc))
 }
 
 /// Reads and verifies one framed snapshot.

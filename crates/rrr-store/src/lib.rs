@@ -25,6 +25,12 @@
 //! Higher layers (`rrr-core`) implement [`Persist`] for their private
 //! state in the modules that own it, and drive checkpoint + WAL-replay
 //! from `StalenessDetector::checkpoint` / `restore`.
+//!
+//! The crate's one `unsafe` is the carry-less-multiply CRC kernel in
+//! [`crc32`], which alone is allowed it.
+
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod checkpoint;
 pub mod crc32;

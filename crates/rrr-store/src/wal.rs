@@ -137,14 +137,15 @@ impl<R: Read> WalReader<R> {
         }
         let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
         let stored = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        let mut payload = vec![0u8; len];
-        match read_exact_or_eof(&mut self.r, &mut payload)? {
-            Fill::Full => {}
-            Fill::Empty | Fill::Partial => {
-                // Torn payload at the tail.
-                self.done = true;
-                return Ok(None);
-            }
+        // The buffer grows with the bytes really there (its doublings copy
+        // under twice the record): a length field rotted to 4 GiB ends as
+        // a torn tail instead of a 4 GiB request.
+        let mut payload = Vec::new();
+        self.r.by_ref().take(len as u64).read_to_end(&mut payload)?;
+        if payload.len() != len {
+            // Torn payload at the tail.
+            self.done = true;
+            return Ok(None);
         }
         let computed = crc32(&payload);
         if stored != computed {

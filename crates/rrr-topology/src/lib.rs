@@ -19,6 +19,8 @@
 //! The topology itself is immutable; dynamic state (link availability, IGP
 //! costs, policy) lives in `rrr-bgp`'s overlay.
 
+#![forbid(unsafe_code)]
+
 pub mod city;
 pub mod config;
 pub mod gen;

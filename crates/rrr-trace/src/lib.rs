@@ -7,6 +7,8 @@
 //! consistent with the BGP updates the collectors see — the property that
 //! makes cross-stream staleness signals meaningful.
 
+#![forbid(unsafe_code)]
+
 pub mod forward;
 pub mod platform;
 

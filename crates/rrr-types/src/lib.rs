@@ -9,6 +9,8 @@
 //! Everything here is `Copy` or cheaply clonable, ordered and hashable;
 //! records persist through `rrr-store`'s `Persist` encoding.
 
+#![forbid(unsafe_code)]
+
 pub mod asn;
 pub mod community;
 pub mod error;

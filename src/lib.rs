@@ -68,6 +68,8 @@
 //! assert!(det.corpus().get(id).is_some());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use rrr_anomaly as anomaly;
 pub use rrr_baselines as baselines;
 pub use rrr_bgp as bgp;
