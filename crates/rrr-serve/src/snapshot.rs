@@ -38,8 +38,13 @@ impl SnapshotCell {
     pub fn publish(&self, snap: Arc<DetectorSnapshot>) {
         use rrr_core::Query;
         let epoch = snap.epoch();
-        *self.slot.write().expect("snapshot slot poisoned") = snap;
+        // Only the pointer moves under the latch. The superseded snapshot
+        // is usually the last reference to its maps; freeing them there
+        // would hold every reader in `load` until they are gone.
+        let superseded =
+            std::mem::replace(&mut *self.slot.write().expect("snapshot slot poisoned"), snap);
         self.epoch.store(epoch, Ordering::Release);
+        drop(superseded);
     }
 
     /// The epoch of the currently published snapshot, without taking the

@@ -8,7 +8,7 @@
 //! stall ingestion.
 //!
 //! A malformed line — including one nested deeper than
-//! [`MAX_DEPTH`](crate::wire::MAX_DEPTH) — produces an `{"error": ...}` line
+//! [`MAX_DEPTH`](serde_json::MAX_DEPTH) — produces an `{"error": ...}` line
 //! and the connection stays open; EOF from the client closes it. A reply is
 //! one `write_all` of body plus newline on a `TCP_NODELAY` socket: split in
 //! two on a Nagle socket, the newline would wait for the client's delayed

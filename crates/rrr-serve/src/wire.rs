@@ -1,10 +1,11 @@
 //! The line-delimited-JSON wire protocol: one request object per line in,
 //! one response object per line out.
 //!
-//! The vendored `serde_json` shim only *emits* JSON, so the request side
-//! is a small recursive-descent parser producing [`serde_json::Value`]
-//! trees; the response side builds `Value` trees by hand and serializes
-//! them with the shim. Both directions are exercised by round-trip tests.
+//! Lines are read with the vendored `serde_json` shim's reader into
+//! [`serde_json::Value`] trees and written from `Value` trees built by
+//! hand; this module holds only the protocol on top. Both directions are
+//! exercised by round-trip tests. A wire integer is accepted only below
+//! 2^53, where an `f64` holds it exactly, so two ids never decode alike.
 //!
 //! Clients get the mirror pair: [`encode_request`] (the inverse of
 //! [`decode_request`]) and [`decode_response`] (the inverse of
@@ -36,239 +37,22 @@ use rrr_core::{
 use rrr_types::{Asn, Error, Timestamp, TracerouteId};
 use serde_json::{Map, Value};
 
-// ---------------------------------------------------------------------------
-// JSON parsing (requests)
-// ---------------------------------------------------------------------------
-
-/// Deepest nesting of arrays and objects [`parse_json`] accepts. The parser
-/// recurses once per level, so without a cap a line of `[`s well inside
-/// `MAX_REQUEST` overflows a handler thread's stack and aborts the process;
-/// no document the workspace reads nests more than a few levels.
-pub const MAX_DEPTH: usize = 64;
-
-/// Parses one JSON document (object, array, or scalar). Trailing
-/// whitespace is allowed; trailing garbage, and nesting past
-/// [`MAX_DEPTH`], are errors.
+/// Parses one JSON document with the shim's reader ([`serde_json::from_str`],
+/// nesting capped at [`serde_json::MAX_DEPTH`]); its error becomes a
+/// protocol error.
 pub fn parse_json(input: &str) -> Result<Value, Error> {
-    let mut p = Parser { b: input.as_bytes(), i: 0, depth: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(Error::protocol(format!("trailing bytes at offset {}", p.i)));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-    /// Arrays and objects open around the current position.
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn bump(&mut self) -> Result<u8, Error> {
-        let c = self.peek().ok_or_else(|| Error::protocol("unexpected end of input"))?;
-        self.i += 1;
-        Ok(c)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), Error> {
-        let got = self.bump()?;
-        if got != want {
-            return Err(Error::protocol(format!(
-                "expected '{}', found '{}' at offset {}",
-                want as char,
-                got as char,
-                self.i - 1
-            )));
-        }
-        Ok(())
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(Error::protocol(format!("invalid literal at offset {}", self.i)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek().ok_or_else(|| Error::protocol("unexpected end of input"))? {
-            b'n' => self.literal("null", Value::Null),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'"' => Ok(Value::String(self.string()?)),
-            c @ (b'[' | b'{') => {
-                if self.depth == MAX_DEPTH {
-                    return Err(Error::protocol(format!(
-                        "nesting deeper than {MAX_DEPTH} at offset {}",
-                        self.i
-                    )));
-                }
-                self.depth += 1;
-                let v = if c == b'[' { self.array() } else { self.object() };
-                self.depth -= 1;
-                v
-            }
-            b'-' | b'0'..=b'9' => self.number(),
-            c => Err(Error::protocol(format!("unexpected '{}' at offset {}", c as char, self.i))),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump()? {
-                b',' => continue,
-                b']' => return Ok(Value::Array(items)),
-                c => {
-                    return Err(Error::protocol(format!(
-                        "expected ',' or ']', found '{}'",
-                        c as char
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut map = Map::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.bump()? {
-                b',' => continue,
-                b'}' => return Ok(Value::Object(map)),
-                c => {
-                    return Err(Error::protocol(format!(
-                        "expected ',' or '}}', found '{}'",
-                        c as char
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.bump()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{0008}'),
-                    b'f' => out.push('\u{000C}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        if self.i + 4 > self.b.len() {
-                            return Err(Error::protocol("truncated \\u escape"));
-                        }
-                        let hex = std::str::from_utf8(&self.b[self.i..self.i + 4])
-                            .map_err(|_| Error::protocol("invalid \\u escape"))?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| Error::protocol("invalid \\u escape"))?;
-                        self.i += 4;
-                        // BMP only; surrogate pairs are not part of this
-                        // protocol's vocabulary.
-                        out.push(
-                            char::from_u32(cp)
-                                .ok_or_else(|| Error::protocol("invalid \\u code point"))?,
-                        );
-                    }
-                    c => return Err(Error::protocol(format!("invalid escape '\\{}'", c as char))),
-                },
-                // Multi-byte UTF-8: pass the raw bytes through. We sliced
-                // from a &str, so the sequence is valid by construction.
-                c if c < 0x80 => out.push(c as char),
-                c => {
-                    let start = self.i - 1;
-                    let len = if c >= 0xF0 {
-                        4
-                    } else if c >= 0xE0 {
-                        3
-                    } else {
-                        2
-                    };
-                    if start + len > self.b.len() {
-                        return Err(Error::protocol("truncated UTF-8 sequence"));
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.b[start..start + len])
-                            .map_err(|_| Error::protocol("invalid UTF-8 in string"))?,
-                    );
-                    self.i = start + len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| Error::protocol(format!("invalid number '{text}'")))
-    }
+    serde_json::from_str(input).map_err(|e| Error::protocol(e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
 // Request decoding
 // ---------------------------------------------------------------------------
 
+/// A wire integer: exact in an `f64`, so no two accepted values alias.
 fn get_u64(map: &Map<String, Value>, field: &str) -> Result<u64, Error> {
-    match map.get(field) {
-        Some(Value::Number(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        Some(_) => Err(Error::protocol(format!("field '{field}' must be a non-negative integer"))),
-        None => Err(Error::protocol(format!("missing field '{field}'"))),
-    }
+    let v = map.get(field).ok_or_else(|| Error::protocol(format!("missing field '{field}'")))?;
+    v.as_u64()
+        .ok_or_else(|| Error::protocol(format!("field '{field}' must be an integer in 0..2^53")))
 }
 
 fn get_str<'m>(map: &'m Map<String, Value>, field: &str) -> Result<&'m str, Error> {
@@ -346,11 +130,10 @@ fn get_ids(map: &Map<String, Value>, field: &str) -> Result<Vec<TracerouteId>, E
     match map.get(field) {
         Some(Value::Array(items)) => items
             .iter()
-            .map(|v| match v {
-                Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(TracerouteId(*n as u64)),
-                _ => {
-                    Err(Error::protocol(format!("field '{field}' must hold non-negative integers")))
-                }
+            .map(|v| {
+                v.as_u64().map(TracerouteId).ok_or_else(|| {
+                    Error::protocol(format!("field '{field}' must hold integers in 0..2^53"))
+                })
             })
             .collect(),
         Some(_) => Err(Error::protocol(format!("field '{field}' must be an array"))),
@@ -547,30 +330,7 @@ pub fn encode_error(err: &Error) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_round_trippable_documents() {
-        for text in [
-            "null",
-            "true",
-            "[1,2.5,-3]",
-            r#"{"a":[{"b":"c"},null],"d":false}"#,
-            r#""esc \"\\\n\tA""#,
-        ] {
-            let v = parse_json(text).expect("parse");
-            // Re-parse the shim's serialization: stable fixed point.
-            let encoded = serde_json::to_string(&v).expect("encode");
-            let round = parse_json(&encoded).expect("reparse");
-            assert_eq!(v, round, "{text}");
-        }
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for text in ["", "{", "[1,]", "nul", r#"{"a" 1}"#, "1 2", r#""unterminated"#] {
-            assert!(parse_json(text).is_err(), "{text:?} should fail");
-        }
-    }
+    use serde_json::MAX_DEPTH;
 
     #[test]
     fn nesting_is_capped_before_the_stack_is() {
@@ -619,6 +379,34 @@ mod tests {
         assert!(decode_request(r#"{"query":"nope"}"#).is_err());
         assert!(decode_request(r#"{"query":"is_stale","id":-1}"#).is_err());
         assert!(decode_request("[]").is_err());
+    }
+
+    #[test]
+    fn an_id_past_u64_is_refused_not_saturated() {
+        // Cast with `as`, 1e300 used to decode to id u64::MAX.
+        assert!(decode_request(r#"{"query":"is_stale","id":1e300}"#).is_err());
+    }
+
+    #[test]
+    fn an_id_an_f64_cannot_hold_is_refused_not_rounded() {
+        // 2^53 + 1 reads as the double 2^53 and used to decode to that id.
+        assert!(decode_request(r#"{"query":"is_stale","id":9007199254740993}"#).is_err());
+        assert!(decode_request(r#"{"query":"is_stale","id":9007199254740992}"#).is_err());
+        assert_eq!(
+            decode_request(r#"{"query":"is_stale","id":9007199254740991}"#).expect("exact"),
+            StalenessQuery::IsStale(TracerouteId((1 << 53) - 1))
+        );
+    }
+
+    #[test]
+    fn a_repeated_field_is_refused_not_overwritten() {
+        let e = decode_request(r#"{"query":"is_stale","id":1,"id":2}"#).expect_err("repeated");
+        assert!(e.to_string().contains("duplicate key"), "{e}");
+    }
+
+    #[test]
+    fn a_budget_past_two_to_the_53_is_refused() {
+        assert!(decode_request(r#"{"query":"refresh_plan","budget":1e19}"#).is_err());
     }
 
     #[test]

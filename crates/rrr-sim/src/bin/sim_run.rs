@@ -278,7 +278,7 @@ fn main() -> ExitCode {
                 if !f.minimized.is_empty() {
                     println!("     minimized fault plan:");
                     for fault in &f.minimized {
-                        println!("       {}", fault.to_value());
+                        println!("       {fault:?}");
                     }
                 }
                 if let Some(path) = &f.artifact {

@@ -13,11 +13,12 @@
 //! makes failing plans minimizable and replayable.
 
 use crate::inputs::RoundInput;
-use crate::ron::Value;
+use crate::ron::{field, variant};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rrr_types::Prefix;
+use serde_json::Value;
 use std::io;
 use std::path::Path;
 
@@ -131,11 +132,11 @@ impl Fault {
         }
     }
 
-    /// Parses a fault from its RON value.
+    /// Parses a fault from its entry in a scenario document.
     pub fn from_value(v: &Value) -> Result<Fault, String> {
-        let name = v.name().ok_or("fault must be a named variant")?;
+        let name = variant(v).ok_or("fault must be a named variant")?;
         let u64_field = |f: &str| -> Result<u64, String> {
-            v.field(f)
+            field(v, f)
                 .and_then(Value::as_u64)
                 .ok_or_else(|| format!("{name}: missing or invalid field `{f}`"))
         };
@@ -158,8 +159,7 @@ impl Fault {
                 copies: u64_field("copies")? as u32,
             }),
             "ClockSkew" => {
-                let secs = v
-                    .field("secs")
+                let secs = field(v, "secs")
                     .and_then(Value::as_i64)
                     .ok_or("ClockSkew: missing or invalid field `secs`")?;
                 Ok(Fault::ClockSkew {
@@ -178,45 +178,6 @@ impl Fault {
             "FlipDeltaByte" => Ok(Fault::FlipDeltaByte { offset: u64_field("offset")? }),
             "DropDeltaFrame" => Ok(Fault::DropDeltaFrame { seq: u64_field("seq")? as u32 }),
             other => Err(format!("unknown fault `{other}`")),
-        }
-    }
-
-    /// Renders the fault back to a RON value (for replayable artifacts).
-    pub fn to_value(&self) -> Value {
-        let s = |name: &str, fields: &[(&str, i64)]| {
-            Value::Struct(
-                name.to_string(),
-                fields.iter().map(|(k, v)| (k.to_string(), Value::Int(*v))).collect(),
-            )
-        };
-        match *self {
-            Fault::ReorderWindow { round } => s("ReorderWindow", &[("round", round as i64)]),
-            Fault::DuplicateUpdates { round, copies } => {
-                s("DuplicateUpdates", &[("round", round as i64), ("copies", copies as i64)])
-            }
-            Fault::DropUpdates { round, modulo } => {
-                s("DropUpdates", &[("round", round as i64), ("modulo", modulo as i64)])
-            }
-            Fault::DuplicateBurst { round, dst, copies } => s(
-                "DuplicateBurst",
-                &[("round", round as i64), ("dst", dst as i64), ("copies", copies as i64)],
-            ),
-            Fault::ClockSkew { round, vp, secs } => {
-                s("ClockSkew", &[("round", round as i64), ("vp", vp as i64), ("secs", secs)])
-            }
-            Fault::TruncateWalTail { bytes } => s("TruncateWalTail", &[("bytes", bytes as i64)]),
-            Fault::FlipWalByte { offset } => s("FlipWalByte", &[("offset", offset as i64)]),
-            Fault::FlipCheckpointByte { offset } => {
-                s("FlipCheckpointByte", &[("offset", offset as i64)])
-            }
-            Fault::TruncateCheckpoint { len } => s("TruncateCheckpoint", &[("len", len as i64)]),
-            Fault::BadMagicCheckpoint => Value::Unit("BadMagicCheckpoint".to_string()),
-            Fault::RestoreConfigSkew => Value::Unit("RestoreConfigSkew".to_string()),
-            Fault::TruncateDeltaTail { bytes } => {
-                s("TruncateDeltaTail", &[("bytes", bytes as i64)])
-            }
-            Fault::FlipDeltaByte { offset } => s("FlipDeltaByte", &[("offset", offset as i64)]),
-            Fault::DropDeltaFrame { seq } => s("DropDeltaFrame", &[("seq", seq as i64)]),
         }
     }
 
@@ -486,8 +447,29 @@ mod tests {
     }
 
     #[test]
-    fn ron_round_trip_all_variants() {
-        for fault in [
+    fn every_variant_reads_from_ron_and_back_from_an_artifact() {
+        let sc = crate::Scenario::parse(
+            r#"Scenario(name: "every-fault", seed: 5, rounds: 6,
+                faults: [
+                    ReorderWindow(round: 1),
+                    DuplicateUpdates(round: 2, copies: 2),
+                    DropUpdates(round: 1, modulo: 3),
+                    DuplicateBurst(round: 3, dst: 1, copies: 5),
+                    ClockSkew(round: 2, vp: 1, secs: -40),
+                    TruncateWalTail(bytes: 3),
+                    FlipWalByte(offset: 12),
+                    FlipCheckpointByte(offset: 40),
+                    TruncateCheckpoint(len: 10),
+                    BadMagicCheckpoint,
+                    RestoreConfigSkew,
+                    TruncateDeltaTail(bytes: 5),
+                    FlipDeltaByte(offset: 21),
+                    DropDeltaFrame(seq: 1),
+                ],
+                oracles: [CrashResume(split: 3)])"#,
+        )
+        .expect("parses");
+        let plan = vec![
             Fault::ReorderWindow { round: 1 },
             Fault::DuplicateUpdates { round: 2, copies: 2 },
             Fault::DropUpdates { round: 1, modulo: 3 },
@@ -502,10 +484,16 @@ mod tests {
             Fault::TruncateDeltaTail { bytes: 5 },
             Fault::FlipDeltaByte { offset: 21 },
             Fault::DropDeltaFrame { seq: 1 },
-        ] {
-            let text = fault.to_value().to_string();
-            let parsed = crate::ron::parse(&text).expect("fault RON parses");
-            assert_eq!(Fault::from_value(&parsed).expect("decodes"), fault, "{text}");
-        }
+        ];
+        assert_eq!(sc.faults, plan, "RON reader");
+        let names: Vec<&str> = plan.iter().map(Fault::name).collect();
+        assert_eq!(names, Fault::ALL_NAMES, "the plan holds every variant");
+
+        let dir = std::env::temp_dir().join(format!("rrr-sim-every-fault-{}", std::process::id()));
+        let failure = crate::OracleFailure { oracle: "crash-resume", message: "demo".to_string() };
+        let path = crate::write_artifact(&dir, &sc, &failure, &plan).expect("writes");
+        let reloaded = crate::load_scenario_or_artifact(&path).expect("reloads");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(reloaded.faults, plan, "JSON reader");
     }
 }

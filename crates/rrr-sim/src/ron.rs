@@ -1,126 +1,48 @@
-//! A minimal RON (Rusty Object Notation) reader and writer covering the
-//! subset the scenario corpus uses: named structs with named fields, bare
-//! unit variants, sequences, integers, floats, booleans, and strings, plus
-//! `//` line comments and trailing commas. No external dependency — this
-//! build vendors only the shims the workspace already carries, and none of
-//! them parse RON.
+//! A minimal RON (Rusty Object Notation) reader covering the subset the
+//! scenario corpus uses: named structs with named fields, bare unit
+//! variants, sequences, integers, floats, booleans, and strings, plus `//`
+//! line comments, `_` digit separators and trailing commas. No external
+//! dependency — this build vendors only the shims the workspace already
+//! carries, and none of them read RON.
+//!
+//! It reads onto the JSON shim's [`Value`] by serde's externally tagged
+//! convention: `Name(f: v, ..)` is `{"Name": {"f": v, ..}}`, a bare `Name`
+//! is `"Name"`, a sequence is an array and a number a `Number`. A scenario
+//! file and a JSON failure artifact are therefore the same tree, walked
+//! with [`variant`] and [`field`].
 
-use std::fmt;
+use serde_json::{Error, Map, Value, MAX_DEPTH};
 
-/// A parsed RON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A bare identifier: a unit enum variant such as `Micro` or `Pass`.
-    Unit(String),
-    /// `Name(field: value, ...)` — also covers `Name()` with no fields.
-    Struct(String, Vec<(String, Value)>),
-    /// `[ value, ... ]`
-    Seq(Vec<Value>),
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-    Str(String),
-}
+/// Integer literals beyond ±2^53 are refused: a `Number` could not hold
+/// them exactly.
+const EXACT_INT: i64 = 1 << 53;
 
-impl Value {
-    /// Field lookup on a struct value.
-    pub fn field(&self, name: &str) -> Option<&Value> {
-        match self {
-            Value::Struct(_, fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The struct or unit-variant name.
-    pub fn name(&self) -> Option<&str> {
-        match self {
-            Value::Unit(n) | Value::Struct(n, _) => Some(n),
-            _ => None,
-        }
-    }
-
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        self.as_i64().and_then(|i| u64::try_from(i).ok())
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_seq(&self) -> Option<&[Value]> {
-        match self {
-            Value::Seq(items) => Some(items),
-            _ => None,
-        }
+/// The variant a value names: `Name` for `"Name"` and for `{"Name": {..}}`.
+pub fn variant(v: &Value) -> Option<&str> {
+    match v {
+        Value::String(name) => Some(name),
+        Value::Object(m) if m.len() == 1 => m.keys().next().map(String::as_str),
+        _ => None,
     }
 }
 
-/// Renders a value back to RON text. Round-trips through [`parse`], which
-/// is what makes failure artifacts replayable by the same loader.
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Unit(n) => write!(f, "{n}"),
-            Value::Struct(n, fields) => {
-                write!(f, "{n}(")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{k}: {v}")?;
-                }
-                write!(f, ")")
-            }
-            Value::Seq(items) => {
-                write!(f, "[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{x:?}"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Str(s) => write!(f, "{s:?}"),
-        }
+/// Field `name` of a `{"Name": {fields}}` variant.
+pub fn field<'v>(v: &'v Value, name: &str) -> Option<&'v Value> {
+    match v {
+        Value::Object(m) if m.len() == 1 => match m.values().next() {
+            Some(Value::Object(fields)) => fields.get(name),
+            _ => None,
+        },
+        _ => None,
     }
 }
-
-/// A parse error with a byte offset into the input.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParseError {
-    pub offset: usize,
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "RON parse error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Deepest nesting of sequences and structs [`parse`] accepts. The parser
-/// recurses once per level; scenario files nest three or four.
-pub const MAX_DEPTH: usize = 64;
 
 /// Parses one RON document (a single value, optionally surrounded by
-/// whitespace and comments).
-pub fn parse(input: &str) -> Result<Value, ParseError> {
+/// whitespace and comments). A field repeated within one struct, an
+/// integer beyond ±2^53, and nesting the resulting tree deeper than
+/// [`MAX_DEPTH`] (a struct is two levels of it) are errors, so every
+/// document read here is one the JSON reader reads back.
+pub fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
@@ -134,13 +56,13 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Sequences and structs open around the current position.
+    /// Levels of the tree open around the current position.
     depth: usize,
 }
 
 impl Parser<'_> {
-    fn err(&self, message: &str) -> ParseError {
-        ParseError { offset: self.pos, message: message.to_string() }
+    fn err(&self, message: impl Into<String>) -> Error {
+        Error { offset: self.pos, message: message.into() }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -162,48 +84,49 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), ParseError> {
+    fn expect(&mut self, c: u8) -> Result<(), Error> {
         if self.peek() == Some(c) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
+            Err(self.err(format!("expected '{}'", c as char)))
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
+    fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
-            Some(b'[') => self.nested(Self::seq),
-            Some(b'"') => self.string().map(Value::Str),
+            Some(b'[') => self.nested(1, Self::seq),
+            Some(b'"') => self.string().map(Value::String),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) if c.is_ascii_alphabetic() || c == b'_' => self.nested(Self::ident_value),
-            Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
+            Some(c) if c.is_ascii_alphabetic() || c == b'_' => self.ident_value(),
+            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
         }
     }
 
-    /// Runs `parse` one nesting level down, refusing past [`MAX_DEPTH`].
+    /// Runs `parse` `levels` down the tree, refusing past [`MAX_DEPTH`].
     fn nested(
         &mut self,
-        parse: fn(&mut Self) -> Result<Value, ParseError>,
-    ) -> Result<Value, ParseError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        levels: usize,
+        parse: fn(&mut Self) -> Result<Value, Error>,
+    ) -> Result<Value, Error> {
+        if self.depth + levels > MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
         }
-        self.depth += 1;
+        self.depth += levels;
         let v = parse(self);
-        self.depth -= 1;
+        self.depth -= levels;
         v
     }
 
-    fn seq(&mut self) -> Result<Value, ParseError> {
+    fn seq(&mut self) -> Result<Value, Error> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         loop {
             self.skip_ws();
             if self.peek() == Some(b']') {
                 self.pos += 1;
-                return Ok(Value::Seq(items));
+                return Ok(Value::Array(items));
             }
             items.push(self.value()?);
             self.skip_ws();
@@ -215,7 +138,7 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    fn string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -253,7 +176,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
+    fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -271,14 +194,18 @@ impl Parser<'_> {
         }
         let text: String =
             self.bytes[start..self.pos].iter().map(|&b| b as char).filter(|&c| c != '_').collect();
+        let at = |message: &str| Error { offset: start, message: message.to_string() };
         if float {
-            text.parse().map(Value::Float).map_err(|_| self.err("invalid float literal"))
-        } else {
-            text.parse().map(Value::Int).map_err(|_| self.err("invalid integer literal"))
+            return text.parse().map(Value::Number).map_err(|_| at("invalid float literal"));
+        }
+        match text.parse::<i64>() {
+            Ok(i) if (-EXACT_INT..=EXACT_INT).contains(&i) => Ok(Value::Number(i as f64)),
+            Ok(_) => Err(at("integer literal beyond ±2^53")),
+            Err(_) => Err(at("invalid integer literal")),
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<String, Error> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || c == b'_' {
@@ -293,7 +220,7 @@ impl Parser<'_> {
         Ok(self.bytes[start..self.pos].iter().map(|&b| b as char).collect())
     }
 
-    fn ident_value(&mut self) -> Result<Value, ParseError> {
+    fn ident_value(&mut self) -> Result<Value, Error> {
         let name = self.ident()?;
         match name.as_str() {
             "true" => return Ok(Value::Bool(true)),
@@ -302,22 +229,32 @@ impl Parser<'_> {
         }
         self.skip_ws();
         if self.peek() != Some(b'(') {
-            return Ok(Value::Unit(name));
+            return Ok(Value::String(name));
         }
-        self.pos += 1;
-        let mut fields = Vec::new();
+        let fields = self.nested(2, Self::fields)?;
+        Ok(Value::Object(Map::from([(name, fields)])))
+    }
+
+    /// The `(field: value, ..)` body of a struct.
+    fn fields(&mut self) -> Result<Value, Error> {
+        self.expect(b'(')?;
+        let mut fields = Map::new();
         loop {
             self.skip_ws();
             if self.peek() == Some(b')') {
                 self.pos += 1;
-                return Ok(Value::Struct(name, fields));
+                return Ok(Value::Object(fields));
             }
+            let at = self.pos;
             let key = self.ident()?;
+            if fields.contains_key(&key) {
+                return Err(Error { offset: at, message: format!("duplicate field `{key}`") });
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let v = self.value()?;
-            fields.push((key, v));
+            fields.insert(key, v);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -347,33 +284,53 @@ mod tests {
             )
         "#;
         let v = parse(doc).expect("parses");
-        assert_eq!(v.name(), Some("Scenario"));
-        assert_eq!(v.field("seed").and_then(Value::as_u64), Some(42));
-        assert_eq!(v.field("name").and_then(Value::as_str), Some("reorder"));
-        let faults = v.field("faults").and_then(Value::as_seq).expect("seq");
+        assert_eq!(variant(&v), Some("Scenario"));
+        assert_eq!(field(&v, "seed").and_then(Value::as_u64), Some(42));
+        assert_eq!(field(&v, "name").and_then(Value::as_str), Some("reorder"));
+        let faults = field(&v, "faults").and_then(Value::as_array).expect("seq");
         assert_eq!(faults.len(), 2);
-        assert_eq!(faults[1].field("copies").and_then(Value::as_u64), Some(2));
-        assert_eq!(v.field("expect").and_then(Value::name), Some("Pass"));
+        assert_eq!(field(&faults[1], "copies").and_then(Value::as_u64), Some(2));
+        assert_eq!(field(&v, "expect").and_then(variant), Some("Pass"));
+        // The externally tagged tree, as serde would build it.
+        let oracles = serde_json::from_str(r#"["ShardInvariance",{"CrashResume":{"split":5}}]"#)
+            .expect("json");
+        assert_eq!(field(&v, "oracles"), Some(&oracles));
     }
 
     #[test]
     fn scalars_and_errors() {
-        assert_eq!(parse("-17").expect("int"), Value::Int(-17));
-        assert_eq!(parse("2.5").expect("float"), Value::Float(2.5));
+        assert_eq!(parse("-17").expect("int"), Value::Number(-17.0));
+        assert_eq!(parse("2.5").expect("float"), Value::Number(2.5));
         assert_eq!(parse("true").expect("bool"), Value::Bool(true));
-        assert_eq!(parse("1_000").expect("sep"), Value::Int(1000));
+        assert_eq!(parse("1_000").expect("sep"), Value::Number(1000.0));
+        assert_eq!(parse("Unit").expect("unit"), Value::String("Unit".into()));
         assert!(parse("Scenario(name: )").is_err());
         assert!(parse("[1, 2").is_err());
         assert!(parse("Pass garbage").is_err());
     }
 
     #[test]
-    fn display_round_trips() {
-        let doc = r#"Failure(scenario: "x", seed: 7, faults: [FlipWalByte(offset: 12)], ok: false, score: 1.5, note: "café → ε\t\"q\"")"#;
-        let v = parse(doc).expect("parses");
-        assert_eq!(v.field("note").and_then(Value::as_str), Some("café → ε\t\"q\""));
-        let rendered = v.to_string();
-        assert_eq!(parse(&rendered).expect("reparses"), v);
+    fn strings_keep_utf8_and_escapes() {
+        let v = parse(r#"A(note: "café → ε\t\"q\"")"#).expect("parses");
+        assert_eq!(field(&v, "note").and_then(Value::as_str), Some("café → ε\t\"q\""));
+    }
+
+    #[test]
+    fn a_repeated_field_is_an_error() {
+        let e = parse("Fault(offset: 1, offset: 2)").expect_err("repeated field");
+        assert_eq!(e.offset, 17, "{e}");
+        assert!(parse("[A(offset: 1), A(offset: 2)]").is_ok(), "one field per struct");
+    }
+
+    #[test]
+    fn integers_beyond_two_to_the_53_are_errors() {
+        assert_eq!(
+            parse("9_007_199_254_740_992").expect("2^53"),
+            Value::Number(9.007_199_254_740_992e15)
+        );
+        assert!(parse("9007199254740993").is_err(), "2^53 + 1 would round");
+        assert!(parse("-9007199254740993").is_err());
+        assert!(parse("99999999999999999999").is_err(), "past i64");
     }
 
     #[test]
@@ -381,8 +338,10 @@ mod tests {
         let seqs = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
         assert!(parse(&seqs(MAX_DEPTH)).is_ok());
         assert!(parse(&seqs(MAX_DEPTH + 1)).is_err());
-        let structs = format!("{}1{}", "A(a: ".repeat(MAX_DEPTH + 1), ")".repeat(MAX_DEPTH + 1));
-        assert!(parse(&structs).is_err());
+        // A struct is two levels of the tree.
+        let structs = |n: usize| format!("{}1{}", "A(a: ".repeat(n), ")".repeat(n));
+        assert!(parse(&structs(MAX_DEPTH / 2)).is_ok());
+        assert!(parse(&structs(MAX_DEPTH / 2 + 1)).is_err());
         // Unclosed, on a thread with the default stack: uncapped, this
         // overflows it and aborts the process.
         let doc = "[".repeat(65_000);

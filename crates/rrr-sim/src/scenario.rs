@@ -5,8 +5,9 @@
 //! oracles to check, and (d) the expected outcome.
 
 use crate::faults::Fault;
-use crate::ron::{self, Value};
+use crate::ron::{self, field, variant};
 use crate::weather::WeatherSpec;
+use serde_json::Value;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -156,8 +157,10 @@ pub struct Scenario {
     /// through the BGP window — so crash points (and WAL records) exist
     /// while a window is still open. Micro world only.
     pub half_steps: bool,
-    /// Where the scenario was loaded from, for error reporting.
-    pub source: Option<PathBuf>,
+    /// The document the scenario was parsed from (a scenario file, or an
+    /// artifact's `repro`), which a failure artifact copies. `None` for a
+    /// scenario built in code, which writes no artifact.
+    pub source: Option<Value>,
 }
 
 /// A scenario-loading error.
@@ -182,24 +185,24 @@ fn bad(message: impl Into<String>) -> ScenarioError {
     ScenarioError { path: None, message: message.into() }
 }
 
-fn req_u64(v: &Value, field: &str, what: &str) -> Result<u64, ScenarioError> {
-    v.field(field)
+fn req_u64(v: &Value, name: &str, what: &str) -> Result<u64, ScenarioError> {
+    field(v, name)
         .and_then(Value::as_u64)
-        .ok_or_else(|| bad(format!("{what}: missing or non-integer field `{field}`")))
+        .ok_or_else(|| bad(format!("{what}: missing or non-integer field `{name}`")))
 }
 
-fn opt_u64(v: &Value, field: &str, default: u64) -> Result<u64, ScenarioError> {
-    match v.field(field) {
+fn opt_u64(v: &Value, name: &str, default: u64) -> Result<u64, ScenarioError> {
+    match field(v, name) {
         None => Ok(default),
         Some(x) => {
-            x.as_u64().ok_or_else(|| bad(format!("field `{field}` must be a non-negative integer")))
+            x.as_u64().ok_or_else(|| bad(format!("field `{name}` must be a non-negative integer")))
         }
     }
 }
 
 impl SimEvent {
     fn from_value(v: &Value) -> Result<SimEvent, ScenarioError> {
-        let name = v.name().ok_or_else(|| bad("event must be a named variant"))?;
+        let name = variant(v).ok_or_else(|| bad("event must be a named variant"))?;
         let from = req_u64(v, "from", name)?;
         let to = req_u64(v, "to", name)?;
         if to <= from {
@@ -219,69 +222,9 @@ impl SimEvent {
     }
 }
 
-impl SimEvent {
-    /// Renders the event back to RON (for replayable artifacts).
-    pub fn to_value(&self) -> Value {
-        let s = |name: &str, fields: &[(&str, i64)]| {
-            Value::Struct(
-                name.to_string(),
-                fields.iter().map(|(k, v)| (k.to_string(), Value::Int(*v))).collect(),
-            )
-        };
-        match *self {
-            SimEvent::CommunityFlip { from, to, dst, variant } => s(
-                "CommunityFlip",
-                &[
-                    ("from", from as i64),
-                    ("to", to as i64),
-                    ("dst", dst as i64),
-                    ("variant", variant as i64),
-                ],
-            ),
-            SimEvent::RouteChange { from, to, dst } => {
-                s("RouteChange", &[("from", from as i64), ("to", to as i64), ("dst", dst as i64)])
-            }
-            SimEvent::Withdraw { from, to, dst } => {
-                s("Withdraw", &[("from", from as i64), ("to", to as i64), ("dst", dst as i64)])
-            }
-            SimEvent::PublicDeviate { from, to, dst } => {
-                s("PublicDeviate", &[("from", from as i64), ("to", to as i64), ("dst", dst as i64)])
-            }
-        }
-    }
-}
-
 impl Oracle {
-    /// Renders the oracle back to RON (for replayable artifacts).
-    pub fn to_value(&self) -> Value {
-        match *self {
-            Oracle::ShardInvariance => Value::Unit("ShardInvariance".to_string()),
-            Oracle::CrashResume { split, every } => Value::Struct(
-                "CrashResume".to_string(),
-                vec![
-                    ("split".to_string(), Value::Int(split as i64)),
-                    ("every".to_string(), Value::Int(every as i64)),
-                ],
-            ),
-            Oracle::Invariants => Value::Unit("Invariants".to_string()),
-            Oracle::Revocation => Value::Unit("Revocation".to_string()),
-            Oracle::Baselines { budget } => Value::Struct(
-                "Baselines".to_string(),
-                vec![("budget".to_string(), Value::Int(budget as i64))],
-            ),
-            Oracle::MrtRoundTrip => Value::Unit("MrtRoundTrip".to_string()),
-            Oracle::ServeEquivalence { feeds } => Value::Struct(
-                "ServeEquivalence".to_string(),
-                vec![("feeds".to_string(), Value::Int(feeds as i64))],
-            ),
-            Oracle::PartitionInvariance => Value::Unit("PartitionInvariance".to_string()),
-            Oracle::MetricsInvariants => Value::Unit("MetricsInvariants".to_string()),
-            Oracle::WeatherReport => Value::Unit("WeatherReport".to_string()),
-        }
-    }
-
     fn from_value(v: &Value) -> Result<Oracle, ScenarioError> {
-        let name = v.name().ok_or_else(|| bad("oracle must be a named variant"))?;
+        let name = variant(v).ok_or_else(|| bad("oracle must be a named variant"))?;
         match name {
             "ShardInvariance" => Ok(Oracle::ShardInvariance),
             "CrashResume" => Ok(Oracle::CrashResume {
@@ -310,18 +253,18 @@ impl Oracle {
 impl Scenario {
     /// Parses a scenario from RON text.
     pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
-        let v = ron::parse(text).map_err(|e| bad(e.to_string()))?;
-        Scenario::from_value(&v)
+        Scenario::from_value(ron::parse(text).map_err(|e| bad(e.to_string()))?)
     }
 
-    /// Builds a scenario from an already-parsed RON value (also the
-    /// `repro` field of a failure artifact).
-    pub fn from_value(v: &Value) -> Result<Scenario, ScenarioError> {
-        if v.name() != Some("Scenario") {
+    /// Builds a scenario from a parsed document — a RON scenario file, or
+    /// the `repro` of a failure artifact — and keeps the document as
+    /// [`Scenario::source`].
+    pub fn from_value(doc: Value) -> Result<Scenario, ScenarioError> {
+        let v = &doc;
+        if variant(v) != Some("Scenario") {
             return Err(bad("document root must be `Scenario(...)`"));
         }
-        let name = v
-            .field("name")
+        let name = field(v, "name")
             .and_then(Value::as_str)
             .ok_or_else(|| bad("missing string field `name`"))?
             .to_string();
@@ -330,26 +273,27 @@ impl Scenario {
         if rounds == 0 {
             return Err(bad("`rounds` must be positive"));
         }
-        let world = match v.field("world").and_then(Value::name) {
+        let world = match field(v, "world").and_then(variant) {
             None | Some("Micro") => WorldKind::Micro,
             Some("Bench") => WorldKind::Bench,
             Some("Weather") => WorldKind::Weather,
             Some(other) => return Err(bad(format!("unknown world `{other}`"))),
         };
-        let weather = match v.field("weather") {
+        let weather = match field(v, "weather") {
             None => None,
             Some(w) => Some(WeatherSpec::from_value(w, seed, rounds).map_err(bad)?),
         };
         let mut events = Vec::new();
-        for e in v.field("events").and_then(Value::as_seq).unwrap_or(&[]) {
+        for e in field(v, "events").and_then(Value::as_array).into_iter().flatten() {
             events.push(SimEvent::from_value(e)?);
         }
         let mut faults = Vec::new();
-        for f in v.field("faults").and_then(Value::as_seq).unwrap_or(&[]) {
+        for f in field(v, "faults").and_then(Value::as_array).into_iter().flatten() {
             faults.push(Fault::from_value(f).map_err(bad)?);
         }
-        let oracles_v =
-            v.field("oracles").and_then(Value::as_seq).ok_or_else(|| bad("missing `oracles`"))?;
+        let oracles_v = field(v, "oracles")
+            .and_then(Value::as_array)
+            .ok_or_else(|| bad("missing `oracles`"))?;
         let mut oracles = Vec::new();
         for o in oracles_v {
             oracles.push(Oracle::from_value(o)?);
@@ -357,13 +301,12 @@ impl Scenario {
         if oracles.is_empty() {
             return Err(bad("`oracles` must not be empty"));
         }
-        let expect = match v.field("expect") {
+        let expect = match field(v, "expect") {
             None => Expect::Pass,
-            Some(e) => match e.name() {
+            Some(e) => match variant(e) {
                 Some("Pass") => Expect::Pass,
                 Some("StoreError") => {
-                    let kind = e
-                        .field("kind")
+                    let kind = field(e, "kind")
                         .and_then(Value::as_str)
                         .ok_or_else(|| bad("StoreError expects a string field `kind`"))?;
                     Expect::StoreError(kind.to_string())
@@ -371,7 +314,7 @@ impl Scenario {
                 _ => return Err(bad("`expect` must be Pass or StoreError(kind: \"...\")")),
             },
         };
-        let half_steps = match v.field("half_steps") {
+        let half_steps = match field(v, "half_steps") {
             None => false,
             Some(Value::Bool(b)) => *b,
             Some(_) => return Err(bad("`half_steps` must be a boolean")),
@@ -387,51 +330,10 @@ impl Scenario {
             expect,
             weather,
             half_steps,
-            source: None,
+            source: Some(doc),
         };
         sc.validate()?;
         Ok(sc)
-    }
-
-    /// Renders the scenario as a RON document [`Scenario::parse`] accepts,
-    /// with `faults` substituted — the replayable core of a failure
-    /// artifact.
-    pub fn to_value_with_faults(&self, faults: &[Fault]) -> Value {
-        let world = match self.world {
-            WorldKind::Micro => "Micro",
-            WorldKind::Bench => "Bench",
-            WorldKind::Weather => "Weather",
-        };
-        let expect = match &self.expect {
-            Expect::Pass => Value::Unit("Pass".to_string()),
-            Expect::StoreError(kind) => Value::Struct(
-                "StoreError".to_string(),
-                vec![("kind".to_string(), Value::Str(kind.clone()))],
-            ),
-        };
-        let mut fields = vec![
-            ("name".to_string(), Value::Str(self.name.clone())),
-            ("seed".to_string(), Value::Int(self.seed as i64)),
-            ("world".to_string(), Value::Unit(world.to_string())),
-            ("rounds".to_string(), Value::Int(self.rounds as i64)),
-        ];
-        if let Some(w) = &self.weather {
-            fields.push(("weather".to_string(), w.to_value()));
-        }
-        fields.extend(vec![
-            ("half_steps".to_string(), Value::Bool(self.half_steps)),
-            (
-                "events".to_string(),
-                Value::Seq(self.events.iter().map(SimEvent::to_value).collect()),
-            ),
-            ("faults".to_string(), Value::Seq(faults.iter().map(Fault::to_value).collect())),
-            (
-                "oracles".to_string(),
-                Value::Seq(self.oracles.iter().map(Oracle::to_value).collect()),
-            ),
-            ("expect".to_string(), expect),
-        ]);
-        Value::Struct("Scenario".to_string(), fields)
     }
 
     /// Number of `step` calls the scenario makes (rounds, doubled when
@@ -529,10 +431,8 @@ impl Scenario {
             path: Some(path.to_path_buf()),
             message: e.to_string(),
         })?;
-        let mut sc = Scenario::parse(&text)
-            .map_err(|e| ScenarioError { path: Some(path.to_path_buf()), message: e.message })?;
-        sc.source = Some(path.to_path_buf());
-        Ok(sc)
+        Scenario::parse(&text)
+            .map_err(|e| ScenarioError { path: Some(path.to_path_buf()), message: e.message })
     }
 }
 

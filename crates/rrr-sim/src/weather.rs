@@ -16,10 +16,11 @@
 //! trigger count against precision — the paper's §4.1.3 noise floor made
 //! measurable.
 
-use crate::ron::Value;
+use crate::ron::{field, variant};
 use rrr_bench::weather::{Regime, TruthEvent, TruthKind, WeatherScale, WeatherWorld, WINDOW_SECS};
 use rrr_core::{SignalScope, StalenessSignal, Technique};
 use rrr_types::Timestamp;
+use serde_json::Value;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -45,11 +46,10 @@ impl WeatherSpec {
         default_seed: u64,
         default_windows: u64,
     ) -> Result<WeatherSpec, String> {
-        if v.name() != Some("Weather") {
+        if variant(v) != Some("Weather") {
             return Err("`weather` must be a `Weather(...)` block".to_string());
         }
-        let regime = v
-            .field("regime")
+        let regime = field(v, "regime")
             .and_then(Value::as_str)
             .ok_or_else(|| "Weather: missing string field `regime`".to_string())?
             .to_string();
@@ -59,11 +59,11 @@ impl WeatherSpec {
                 Regime::FAMILIES.join(", ")
             ));
         }
-        let get = |field: &str, default: u64| match v.field(field) {
+        let get = |name: &str, default: u64| match field(v, name) {
             None => Ok(default),
             Some(x) => x
                 .as_u64()
-                .ok_or_else(|| format!("Weather: field `{field}` must be a non-negative integer")),
+                .ok_or_else(|| format!("Weather: field `{name}` must be a non-negative integer")),
         };
         let seed = get("seed", default_seed)?;
         let windows = get("windows", default_windows)?;
@@ -71,18 +71,6 @@ impl WeatherSpec {
             return Err("Weather: `windows` must be positive".to_string());
         }
         Ok(WeatherSpec { regime, seed, windows })
-    }
-
-    /// Renders the block back to RON.
-    pub fn to_value(&self) -> Value {
-        Value::Struct(
-            "Weather".to_string(),
-            vec![
-                ("regime".to_string(), Value::Str(self.regime.clone())),
-                ("seed".to_string(), Value::Int(self.seed as i64)),
-                ("windows".to_string(), Value::Int(self.windows as i64)),
-            ],
-        )
     }
 
     /// The parsed regime (validated at parse time, so this only fails on
@@ -363,14 +351,6 @@ mod tests {
 
     fn spec(regime: &str, seed: u64, windows: u64) -> WeatherSpec {
         WeatherSpec { regime: regime.to_string(), seed, windows }
-    }
-
-    #[test]
-    fn spec_round_trips_through_ron() {
-        let s = spec("lossy", 42, 64);
-        let text = s.to_value().to_string();
-        let v = ron::parse(&text).expect("rendered spec parses");
-        assert_eq!(WeatherSpec::from_value(&v, 0, 0).expect("valid"), s);
     }
 
     #[test]
