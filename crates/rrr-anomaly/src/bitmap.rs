@@ -54,7 +54,14 @@ impl BitmapDetector {
     /// the threshold is negative (then even a zero score is an outlier, so
     /// no constant tail is safe).
     pub fn inert_tail(&self) -> Option<usize> {
-        (self.threshold >= 0.0).then_some(self.lag + self.lead - 1)
+        (self.threshold >= 0.0).then_some(self.tail_len())
+    }
+
+    /// How many history values a score reads: the newest `lag + lead - 1`,
+    /// which the candidate completes to a full lag+lead window. A series
+    /// scored only by this detector needs to keep no more than this.
+    pub fn tail_len(&self) -> usize {
+        (self.lag + self.lead).saturating_sub(1)
     }
 }
 
@@ -196,13 +203,13 @@ impl BitmapDetector {
         a.iter().zip(b.iter()).map(|(x, y)| (x - y).powi(2)).sum()
     }
 
-    /// The score of `candidate` behind the newest `lag + lead - 1` values
+    /// The score of `candidate` behind the newest [`Self::tail_len`] values
     /// of `history`; `None` when the history is too short. Only that tail
     /// feeds the score, so only it is copied (next to the candidate, into a
-    /// stack buffer when it fits) — not the up-to-256-value history.
+    /// stack buffer when it fits), however much history the caller keeps.
     fn candidate_score(&self, history: &[f64], candidate: f64) -> Option<f64> {
         let need = self.lag + self.lead;
-        let keep = need.saturating_sub(1);
+        let keep = self.tail_len();
         if history.len() < keep {
             return None;
         }
@@ -516,6 +523,57 @@ mod proptests {
                 }
                 let bits = |s: &MonitoredSeries| s.history().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&one), bits(&two));
+            }
+        }
+
+        /// A series capped at the detector's `tail_len` answers as a
+        /// 256-value one does: the same verdicts, score bits, eligibility and
+        /// `inert_under` answers, across gaps, absorbed outliers and
+        /// closed-form `advance_constant` runs; and it holds exactly the
+        /// newest values of the longer one.
+        #[test]
+        fn a_series_capped_at_the_scored_tail_answers_like_a_long_one(
+            noise in proptest::collection::vec(-10.0f64..10.0, 30..160),
+            level in -12.0f64..12.0,
+            shape in 0u8..4,
+            absorb in 0u8..2,
+            runs in proptest::collection::vec(0u64..40, 1..8),
+        ) {
+            let series = shaped(shape, &noise, level);
+            let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for d in configurations() {
+                let need = d.inert_tail();
+                let mut short =
+                    MonitoredSeries::new(d.tail_len()).with_absorb_outliers(absorb == 1);
+                let mut long = MonitoredSeries::new(256).with_absorb_outliers(absorb == 1);
+                for (i, &x) in series.iter().enumerate() {
+                    let v = (i % 41 != 40).then_some(x);
+                    for probe in [v, Some(level), None] {
+                        prop_assert_eq!(
+                            short.inert_under(probe, need),
+                            long.inert_under(probe, need),
+                            "{:?} at {}", d, i
+                        );
+                    }
+                    // Now and then the closed-form catch-up a parked monitor
+                    // gets, where its precondition holds.
+                    if i % 13 == 12 && (v.is_none() || long.inert_under(v, need)) {
+                        let k = runs[i / 13 % runs.len()];
+                        short.advance_constant(v, k);
+                        long.advance_constant(v, k);
+                    }
+                    match (short.push(v, &d), long.push(v, &d)) {
+                        (
+                            crate::SeriesVerdict::Outlier { score: a },
+                            crate::SeriesVerdict::Outlier { score: b },
+                        ) => prop_assert_eq!(a.to_bits(), b.to_bits()),
+                        (a, b) => prop_assert_eq!(a, b, "{:?} at {}", d, i),
+                    }
+                    prop_assert_eq!(short.ready(), long.ready());
+                    let (s, l) = (short.history(), long.history());
+                    prop_assert_eq!(s.len(), l.len().min(d.tail_len()));
+                    prop_assert_eq!(bits(s), bits(&l[l.len() - s.len()..]));
+                }
             }
         }
 

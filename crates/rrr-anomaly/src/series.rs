@@ -51,8 +51,17 @@ impl Default for MonitoredSeries {
 
 impl MonitoredSeries {
     /// Creates a series keeping at most `max_history` accepted values.
+    ///
+    /// Eligibility counts populated windows, not stored values, so the cap
+    /// may sit below [`MIN_WINDOWS`]: a series needs to keep only what its
+    /// detector reads. A [`BitmapDetector`](crate::BitmapDetector) reads its
+    /// [`tail_len`](crate::BitmapDetector::tail_len) newest values, and a
+    /// series capped there gives the same verdicts, scores and
+    /// [`Self::inert_under`] answers as one with any larger cap. A
+    /// [`ModifiedZScore`](crate::ModifiedZScore) reads the whole history,
+    /// so its cap is part of the detector. Panics when `max_history` is 0.
     pub fn new(max_history: usize) -> Self {
-        assert!(max_history >= MIN_WINDOWS);
+        assert!(max_history >= 1, "a series must keep at least one value");
         MonitoredSeries {
             history: Vec::new(),
             consecutive: 0,
@@ -220,14 +229,27 @@ impl rrr_store::Persist for MonitoredSeries {
         self.max_history.store(e)?;
         self.absorb_outliers.store(e)
     }
+    /// Rejects the two states [`MonitoredSeries::new`] and `trim` rule out:
+    /// a zero cap (a detector that never gets its tail, so never flags) and
+    /// a history longer than its cap. The cap itself is kept as stored.
     fn load<R: std::io::Read>(
         d: &mut rrr_store::Decoder<R>,
     ) -> Result<Self, rrr_store::StoreError> {
+        let history: Vec<f64> = rrr_store::Persist::load(d)?;
+        let consecutive = rrr_store::Persist::load(d)?;
+        let ready = rrr_store::Persist::load(d)?;
+        let max_history: usize = rrr_store::Persist::load(d)?;
+        if max_history == 0 {
+            return Err(d.corrupt("series history cap is zero"));
+        }
+        if history.len() > max_history {
+            return Err(d.corrupt("series history longer than its cap"));
+        }
         Ok(MonitoredSeries {
-            history: rrr_store::Persist::load(d)?,
-            consecutive: rrr_store::Persist::load(d)?,
-            ready: rrr_store::Persist::load(d)?,
-            max_history: rrr_store::Persist::load(d)?,
+            history,
+            consecutive,
+            ready,
+            max_history,
             absorb_outliers: rrr_store::Persist::load(d)?,
         })
     }
@@ -367,6 +389,53 @@ mod tests {
         }
         assert!(s.history().len() <= 32);
         assert_eq!(s.last_value(), Some((199 % 7) as f64));
+    }
+
+    #[test]
+    fn a_cap_below_the_warmup_still_warms_up_on_windows() {
+        let det = ModifiedZScore::default();
+        let mut s = MonitoredSeries::new(1);
+        for i in 0..MIN_WINDOWS {
+            assert!(!s.ready());
+            assert_eq!(s.push(Some(i as f64), &det), SeriesVerdict::NotReady);
+            assert_eq!(s.history(), &[i as f64]);
+        }
+        assert!(s.ready());
+    }
+
+    /// A series payload as `store` lays it out, with any cap and history.
+    fn payload(history: &[f64], max_history: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut e = rrr_store::Encoder::new(&mut buf);
+        let consecutive = history.len();
+        rrr_store::Persist::store(&history.to_vec(), &mut e).expect("to memory");
+        rrr_store::Persist::store(&consecutive, &mut e).expect("to memory");
+        rrr_store::Persist::store(&true, &mut e).expect("to memory");
+        rrr_store::Persist::store(&max_history, &mut e).expect("to memory");
+        rrr_store::Persist::store(&false, &mut e).expect("to memory");
+        buf
+    }
+
+    #[test]
+    fn load_rejects_a_zero_cap_and_a_history_past_its_cap() {
+        let load = |bytes: &[u8]| rrr_store::from_payload::<MonitoredSeries>(bytes);
+        let corrupt = |r: Result<MonitoredSeries, rrr_store::StoreError>, why: &str| match r {
+            Err(rrr_store::StoreError::Corrupt { what, .. }) => {
+                assert!(what.contains(why), "{what}")
+            }
+            other => panic!("expected Corrupt({why}), got {other:?}"),
+        };
+        corrupt(load(&payload(&[], 0)), "zero");
+        corrupt(load(&payload(&[1.0; 17], 16)), "longer than its cap");
+
+        // At the cap, and below it, the series loads as stored: the cap is
+        // not clamped, so it re-serializes to the same bytes.
+        for (history, cap) in [(&[1.0; 16][..], 16), (&[2.0; 3][..], 256), (&[][..], 1)] {
+            let bytes = payload(history, cap);
+            let s = load(&bytes).expect("a valid series loads");
+            assert_eq!(s.history(), history);
+            assert_eq!(rrr_store::to_payload(&s).expect("to memory"), bytes);
+        }
     }
 
     #[test]
